@@ -18,19 +18,17 @@ struct Variant {
 void run_nat(std::vector<Variant>& out) {
   const auto trace = make_trace("tcp=0.8 flows=10000 payload=800 pps=60000 packets=20000");
   for (const bool accel : {true, false}) {
-    nicsim::NicSim sim;
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    nf::NatProgram program(table, accel);
-    out.push_back({"NAT", accel ? "csum-accel" : "csum-software", sim.run(program, trace).mean_latency()});
+    const nf::Placement placement{{nicsim::MemLevel::kEmem}, accel};
+    out.push_back({"NAT", accel ? "csum-accel" : "csum-software",
+                   nf::simulate("nat", nf::build_nat_nf(), placement, trace).value().mean_latency()});
   }
 }
 
 void run_dpi(std::vector<Variant>& out) {
   for (const int payload : {200, 700, 1400}) {
     const auto trace = make_trace(strf("payload=%d pps=60000 packets=20000", payload));
-    nicsim::NicSim sim;
-    nf::DpiProgram program;
-    out.push_back({"DPI", strf("%dB-packets", payload), sim.run(program, trace).mean_latency()});
+    out.push_back({"DPI", strf("%dB-packets", payload),
+                   nf::simulate("dpi", nf::build_dpi_nf(), {}, trace).value().mean_latency()});
   }
 }
 
@@ -51,11 +49,10 @@ void run_fw(std::vector<Variant>& out) {
   for (const auto& variant : kVariants) {
     const auto trace =
         make_trace(strf("tcp=1.0 %s payload=300 pps=60000 packets=30000", variant.dist));
-    nicsim::NicSim sim;
-    auto& conn = sim.create_table("conn", 262144, 64, variant.level);  // 16 MiB worth of slots
-    auto& rules = sim.create_table("rules", 1024, 32, nicsim::MemLevel::kCtm);
-    nf::FwProgram program(conn, rules);
-    out.push_back({"FW", variant.label, sim.run(program, trace).mean_latency()});
+    const auto fw = nf::build_fw_nf({.conn_entries = 262144});  // 16 MiB worth of slots
+    const nf::Placement placement{{variant.level, nicsim::MemLevel::kCtm}};
+    out.push_back(
+        {"FW", variant.label, nf::simulate("firewall", fw, placement, trace).value().mean_latency()});
   }
 }
 
@@ -64,11 +61,9 @@ void run_lpm(std::vector<Variant>& out) {
   const auto trace = make_trace("flows=3000 zipf=1.2 payload=300 pps=60000 packets=20000");
   for (const std::uint64_t rules : {1000ull, 2000ull}) {
     for (const bool fc : {true, false}) {
-      nicsim::NicSim sim;
-      auto& lpm = sim.create_lpm("routes", rules, 4096);
-      nf::LpmProgram program(lpm, fc);
+      const auto lpm = nf::build_lpm_nf({.rules = rules, .use_flow_cache = fc});
       out.push_back({"LPM", strf("%llu-rules/%s", (unsigned long long)rules, fc ? "flow-cache" : "no-cache"),
-                     sim.run(program, trace).mean_latency()});
+                     nf::simulate("lpm", lpm, {}, trace).value().mean_latency()});
     }
   }
 }
@@ -80,10 +75,10 @@ void run_hh(std::vector<Variant>& out) {
   for (const double pps : {60e3, 16e6, 19.5e6}) {
     const auto trace =
         make_trace(strf("flows=200000 zipf=0.3 payload=300 pps=%.0f packets=40000 arrivals=poisson", pps));
-    nicsim::NicSim sim;
-    auto& counters = sim.create_table("counters", 1 << 20, 32, nicsim::MemLevel::kEmem);
-    nf::HhProgram program(counters);
-    out.push_back({"HH", strf("%.0fkpps", pps / 1000.0), sim.run(program, trace).mean_latency()});
+    const auto hh = nf::build_hh_nf({.counters = 1 << 20});
+    const nf::Placement emem{{nicsim::MemLevel::kEmem}};
+    out.push_back({"HH", strf("%.0fkpps", pps / 1000.0),
+                   nf::simulate("heavy-hitter", hh, emem, trace).value().mean_latency()});
   }
 }
 

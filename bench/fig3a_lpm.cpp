@@ -25,10 +25,7 @@ int main() {
     const auto nf_fn = nf::build_lpm_nf({.rules = entries, .use_flow_cache = false});
     const auto analysis = analyze_or_die(analyzer, nf_fn, trace);
 
-    nicsim::NicSim sim;
-    auto& lpm = sim.create_lpm("routes", entries, 0);
-    nf::LpmProgram ported(lpm, false);
-    const auto stats = sim.run(ported, trace);
+    const auto stats = nf::simulate("lpm", nf_fn, {}, trace).value();
 
     const double predicted = analysis.prediction.mean_latency_cycles;
     const double actual = stats.mean_latency();

@@ -26,13 +26,14 @@
 #include "core/cache.hpp"
 #include "core/clara.hpp"
 #include "core/sweep.hpp"
+#include "obs/accuracy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "ilp/instances.hpp"
 #include "ilp/simplex.hpp"
 #include "ilp/solver.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "passes/api_subst.hpp"
 #include "serve/loadgen.hpp"
@@ -184,12 +185,11 @@ std::vector<MicroResult> run_micros() {
   }
   {
     nicsim::NicSim sim;
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    nf::NatProgram program(table, true);
+    auto program = nf::make_port("nat", sim).value();
     const auto trace = small_trace();
     std::size_t i = 0;
     out.push_back(run_micro("simulate_nat_packet", [&] {
-      volatile auto c = sim.measure_one(program, trace.packets[i++ % trace.size()]);
+      volatile auto c = sim.measure_one(*program, trace.packets[i++ % trace.size()]);
       (void)c;
     }, 1));
     // The always-on overhead check: identical body, recorder enabled vs
@@ -202,7 +202,7 @@ std::vector<MicroResult> run_micros() {
         obs::recorder().set_enabled(enabled);
         const auto t0 = Clock::now();
         for (std::size_t k = 0; k < iters; ++k) {
-          volatile auto c = sim.measure_one(program, trace.packets[i++ % trace.size()]);
+          volatile auto c = sim.measure_one(*program, trace.packets[i++ % trace.size()]);
           (void)c;
         }
         obs::recorder().set_enabled(true);
@@ -224,7 +224,7 @@ std::vector<MicroResult> run_micros() {
     // per-packet record() would cost, NOT what the recorder costs today.
     out.push_back(run_micro("simulate_nat_packet_recorded", [&] {
       obs::record(obs::FlightEventKind::kMark, i);
-      volatile auto c = sim.measure_one(program, trace.packets[i++ % trace.size()]);
+      volatile auto c = sim.measure_one(*program, trace.packets[i++ % trace.size()]);
       (void)c;
     }, 1));
   }
@@ -235,11 +235,10 @@ std::vector<MicroResult> run_micros() {
     // the program-only path). This is the number the structure-of-
     // arrays rewrite is accountable for.
     nicsim::NicSim sim;
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    nf::NatProgram program(table, true);
+    auto program = nf::make_port("nat", sim).value();
     const auto trace = small_trace();
     auto r = run_micro("simulate_batch_ns_per_pkt", [&] {
-      volatile auto p = sim.run(program, trace).packets;
+      volatile auto p = sim.run(*program, trace).packets;
       (void)p;
     }, trace.size());
     r.ns_per_iter /= static_cast<double>(trace.size());
@@ -335,28 +334,9 @@ ParallelResult bench_sweep(std::size_t jobs) {
   ParallelResult r;
   r.name = "sweep_replay";
   r.jobs = jobs;
-  constexpr std::size_t kPoints = 8;
-  constexpr std::uint64_t kPackets = 4'000;
-
-  const auto eval = [](const core::SweepPoint& point, core::SweepResult& result) {
-    auto profile =
-        workload::parse_profile("tcp=0.8 flows=2000 payload=300 packets=4000").value();
-    profile.pps = point.load_pps;
-    profile.seed = point.seed;
-    const auto trace = workload::generate_trace(profile);
-    nicsim::NicSim sim;
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    nf::NatProgram program(table, true);
-    const auto stats = sim.run(program, trace);
-    result.value = stats.mean_latency();
-    result.stats.add(stats.mean_latency());
-  };
-
-  std::vector<double> loads;
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    loads.push_back(20'000.0 + 20'000.0 * static_cast<double>(i));
-  }
-  const auto grid = core::make_grid(loads, {}, 42);
+  const auto replay = obs::sweep_replay();
+  const auto& grid = replay.grid;
+  const auto& eval = replay.eval;
 
   core::SweepOptions options;
   options.jobs = 1;
@@ -370,7 +350,7 @@ ParallelResult bench_sweep(std::size_t jobs) {
   r.parallel_ms = ms_since(t0);
 
   r.speedup = r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0;
-  const double total_packets = static_cast<double>(kPackets * kPoints);
+  const double total_packets = static_cast<double>(replay.packets_per_point * grid.size());
   r.packets_per_sec_serial = total_packets / (r.serial_ms / 1e3);
   r.packets_per_sec_parallel = total_packets / (r.parallel_ms / 1e3);
   r.identical_results = serial.size() == parallel.size();

@@ -26,26 +26,16 @@ int main() {
   core::analysis_cache().clear();  // defined cold start
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
 
+  // Catalog NFs, each simulated through its hand port at the catalog
+  // placement.
   struct Case {
     const char* name;
-    cir::Function fn;
-    std::function<std::unique_ptr<nicsim::NicProgram>(nicsim::NicSim&)> make;
+    const char* nf;
+    cir::Function fn = {};
   };
-  std::vector<Case> cases;
-  cases.push_back({"rewrite", nf::build_rewrite_nf(), [](nicsim::NicSim&) {
-                     return std::make_unique<nf::RewriteProgram>();
-                   }});
-  cases.push_back({"dpi-1400B", nf::build_dpi_nf(), [](nicsim::NicSim&) {
-                     return std::make_unique<nf::DpiProgram>();
-                   }});
-  cases.push_back({"nat", nf::build_nat_nf(), [](nicsim::NicSim& sim) {
-                     auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-                     return std::make_unique<nf::NatProgram>(table, true);
-                   }});
-  cases.push_back({"heavy-hitter", nf::build_hh_nf(), [](nicsim::NicSim& sim) {
-                     auto& counters = sim.create_table("counters", 16384, 32, nicsim::MemLevel::kImem);
-                     return std::make_unique<nf::HhProgram>(counters);
-                   }});
+  std::vector<Case> cases = {
+      {"rewrite", "rewrite"}, {"dpi-1400B", "dpi"}, {"nat", "nat"}, {"heavy-hitter", "heavy-hitter"}};
+  for (auto& c : cases) c.fn = nf::find_nf(c.nf)->build();
 
   // Each case is an independent shard: the analyze+flood pair runs
   // concurrently across cases via the sweep driver, with results written
@@ -71,7 +61,7 @@ int main() {
 
     const auto flood = make_trace(strf("payload=%d pps=40000000 packets=40000 flows=5000", payload));
     nicsim::NicSim sim;
-    auto program = c.make(sim);
+    auto program = nf::make_port(c.nf, sim).value();
     const auto stats = sim.run(*program, flood);
 
     rows[point.index] = {fmt(analysis.prediction.throughput_pps), analysis.prediction.bottleneck,

@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "core/clara.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "workload/tracegen.hpp"
 
@@ -49,9 +49,13 @@ int main() {
   // 4. Validate: run the manually-ported NAT on the simulated NIC, with
   //    the flow table placed where Clara's mapping put it.
   nicsim::NicSim nic;
-  auto& flow_table = nic.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram ported(flow_table, /*use_csum_accel=*/true);
-  const auto stats = nic.run(ported, trace);
+  const auto placement = nf::placement_of(clara_tool.profile(), a.mapping.state_region);
+  auto ported = nf::make_port("nat", nic, nat, placement);
+  if (!ported) {
+    std::fprintf(stderr, "port error: %s\n", ported.error().message.c_str());
+    return 1;
+  }
+  const auto stats = nic.run(*ported.value(), trace);
 
   std::printf("=== Hardware (simulator) measurement ===\n");
   std::printf("actual mean latency    : %.0f cycles (p99 %.0f)\n", stats.mean_latency(), stats.p99_latency());

@@ -179,6 +179,9 @@ class NicSim {
   /// for the simulator's lifetime.
   ExactTable& create_table(std::string name, std::uint64_t entries, Bytes entry_bytes, MemLevel placement);
   LpmTable& create_lpm(std::string name, std::uint64_t rule_entries, std::uint32_t flow_cache_capacity);
+  /// The tables declared so far, each kind in declaration order.
+  [[nodiscard]] const std::vector<std::unique_ptr<ExactTable>>& tables() const { return tables_; }
+  [[nodiscard]] const std::vector<std::unique_ptr<LpmTable>>& lpm_tables() const { return lpm_tables_; }
 
   /// Runs a trace through the program; packets arrive at their trace
   /// timestamps (converted to cycles at the device clock). Packets move

@@ -3,108 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/sweep.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/metrics.hpp"
 
 namespace clara::obs {
 
 namespace {
-
-/// Maps a mapped state region to the simulator's memory hierarchy; falls
-/// back to EMEM when the mapping has fewer regions than the ported
-/// program declares (degraded mappings after faults).
-nicsim::MemLevel placement_level(const core::Analyzer& analyzer, const mapping::Mapping& mapping,
-                                 std::size_t state_index) {
-  if (state_index >= mapping.state_region.size()) return nicsim::MemLevel::kEmem;
-  switch (analyzer.profile().graph.node(mapping.state_region[state_index]).memory()->kind) {
-    case lnic::MemKind::kLocal: return nicsim::MemLevel::kLocal;
-    case lnic::MemKind::kCtm: return nicsim::MemLevel::kCtm;
-    case lnic::MemKind::kImem: return nicsim::MemLevel::kImem;
-    case lnic::MemKind::kEmem: return nicsim::MemLevel::kEmem;
-  }
-  return nicsim::MemLevel::kEmem;
-}
-
-/// Builds the unported CIR for a scenario. Must stay in sync with
-/// make_program below — the pair is the predictor/simulator
-/// correspondence the ledger validates.
-Result<cir::Function, Error> make_function(const ValidationScenario& s) {
-  if (s.nf == "lpm") {
-    return nf::build_lpm_nf({.rules = s.lpm_rules, .use_flow_cache = s.lpm_flow_cache});
-  }
-  if (s.nf == "nat") return nf::build_nat_nf();
-  if (s.nf == "firewall") return nf::build_fw_nf();
-  if (s.nf == "dpi") return nf::build_dpi_nf();
-  if (s.nf == "heavy-hitter") return nf::build_hh_nf();
-  if (s.nf == "meter") return nf::build_meter_nf();
-  if (s.nf == "flow-stats") return nf::build_flowstats_nf();
-  if (s.nf == "rewrite") return nf::build_rewrite_nf();
-  if (s.nf == "vnf-chain") return nf::build_vnf_chain();
-  if (s.nf == "crypto-gw") return nf::build_crypto_gw_nf();
-  return make_error(strf("no validation recipe for NF '%s'", s.nf.c_str()));
-}
-
-/// Instantiates the hand-ported program with table placements aligned to
-/// the analysis mapping (state-object order matches the CIR builders).
-Result<std::unique_ptr<nicsim::NicProgram>, Error> make_program(
-    const core::Analyzer& analyzer, const ValidationScenario& s, const core::Analysis& analysis,
-    nicsim::NicSim& sim) {
-  const auto level = [&](std::size_t i) { return placement_level(analyzer, analysis.mapping, i); };
-  std::unique_ptr<nicsim::NicProgram> program;
-  if (s.nf == "lpm") {
-    // The ported baseline runs lookups on the match-action engine; the
-    // predictor only books cycles there when the ILP chose that binding.
-    // If the mapping kept the walk in software the pair is incomparable
-    // (there is no software-walk port), so fail loudly instead of
-    // silently attributing the mismatch as model error.
-    if (analysis.prediction.breakdown.cycles[static_cast<std::size_t>(Component::kLpmEngine)] <=
-        0.0) {
-      return make_error(
-          strf("mapping for '%s' keeps the LPM walk off the engine; no software port to "
-               "validate against",
-               s.name().c_str()));
-    }
-    auto& lpm = sim.create_lpm("routes", s.lpm_rules, s.lpm_flow_cache ? 4096 : 0);
-    program = std::make_unique<nf::LpmProgram>(lpm, s.lpm_flow_cache);
-  } else if (s.nf == "nat") {
-    auto& table = sim.create_table("flow_table", 131072, 64, level(0));
-    program = std::make_unique<nf::NatProgram>(table, true);
-  } else if (s.nf == "firewall") {
-    auto& conn = sim.create_table("conn_table", 16384, 64, level(0));
-    auto& rules = sim.create_table("rules", 1024, 32, level(1));
-    program = std::make_unique<nf::FwProgram>(conn, rules);
-  } else if (s.nf == "dpi") {
-    program = std::make_unique<nf::DpiProgram>();
-  } else if (s.nf == "heavy-hitter") {
-    auto& counters = sim.create_table("counters", 16384, 32, level(0));
-    program = std::make_unique<nf::HhProgram>(counters);
-  } else if (s.nf == "meter") {
-    auto& buckets = sim.create_table("buckets", 4096, 32, level(0));
-    program = std::make_unique<nf::MeterProgram>(buckets);
-  } else if (s.nf == "flow-stats") {
-    auto& stats = sim.create_table("flow_stats", 16384, 32, level(0));
-    program = std::make_unique<nf::FlowStatsProgram>(stats);
-  } else if (s.nf == "rewrite") {
-    program = std::make_unique<nf::RewriteProgram>();
-  } else if (s.nf == "vnf-chain") {
-    auto& meters = sim.create_table("meters", 4096, 32, level(0));
-    auto& stats = sim.create_table("flow_stats", 16384, 32, level(1));
-    program = std::make_unique<nf::VnfProgram>(meters, stats);
-  } else if (s.nf == "crypto-gw") {
-    auto& sa = sim.create_table("sa_table", 4096, 64, level(0));
-    program = std::make_unique<nf::CryptoGwProgram>(sa, true);
-  } else {
-    return make_error(strf("no ported implementation for NF '%s'", s.nf.c_str()));
-  }
-  return program;
-}
 
 /// Exact p95 over a small sample set (closest-rank; the per-NF scenario
 /// counts are single digits, so interpolation would overstate precision).
@@ -123,13 +33,38 @@ std::string json_number(double v) {
 
 }  // namespace
 
+Result<cir::Function> ValidationScenario::build() const {
+  if (nf == "lpm") {
+    return clara::nf::build_lpm_nf({.rules = lpm_rules, .use_flow_cache = lpm_flow_cache});
+  }
+  const clara::nf::CatalogEntry* entry = clara::nf::find_nf(nf);
+  if (entry == nullptr || entry->port == nullptr) {
+    return make_error(strf("no validation recipe for NF '%s'", nf.c_str()));
+  }
+  return entry->build();
+}
+
 Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer,
                                                   const ValidationScenario& scenario,
                                                   const core::Analysis& analysis,
                                                   const workload::Trace& trace) {
+  // The port's tables follow the analyzed CIR's state objects, placed
+  // where the mapping put them.
   nicsim::NicSim sim;
-  auto program = make_program(analyzer, scenario, analysis, sim);
+  auto program = nf::make_port(scenario.nf, sim, analysis.lowered,
+                               nf::placement_of(analyzer.profile(), analysis.mapping.state_region));
   if (!program) return program.error();
+  // An LPM port runs its lookups on the match-action engine; the
+  // predictor only books cycles there when the ILP chose that binding.
+  // If the mapping kept the walk in software the pair is incomparable
+  // (there is no software-walk port), so fail loudly instead of
+  // silently attributing the mismatch as model error.
+  if (!sim.lpm_tables().empty() && analysis.prediction.breakdown.at(Component::kLpmEngine) <= 0.0) {
+    return make_error(strf(
+        "mapping for '%s/%s' keeps the LPM walk off the engine; no software port to validate "
+        "against",
+        analysis.lowered.name.c_str(), scenario.variant.c_str()));
+  }
   const auto stats = sim.run(*program.value(), trace);
   if (stats.packets == 0 || stats.mean_latency() <= 0.0) {
     return make_error(strf("simulator delivered no packets for '%s'", scenario.nf.c_str()));
@@ -171,14 +106,36 @@ std::string render_validation(const ScenarioResult& result) {
   return table.render();
 }
 
+SweepReplay sweep_replay() {
+  const auto base = workload::parse_profile("tcp=0.8 flows=2000 payload=300 packets=4000").value();
+  SweepReplay replay;
+  replay.packets_per_point = base.packets;
+  std::vector<double> loads;
+  for (std::size_t i = 0; i < 8; ++i) loads.push_back(20'000.0 + 20'000.0 * static_cast<double>(i));
+  replay.grid = core::make_grid(loads, {}, 42);
+  replay.eval = [base](const core::SweepPoint& point, core::SweepResult& result) {
+    auto profile = base;
+    profile.pps = point.load_pps;
+    profile.seed = point.seed;
+    const auto trace = workload::generate_trace(profile);
+    nicsim::NicSim sim;
+    auto program = nf::make_port("nat", sim).value();
+    const auto stats = sim.run(*program, trace);
+    result.value = stats.mean_latency();
+    result.stats.add(stats.mean_latency());
+  };
+  return replay;
+}
+
 AccuracyLedger::AccuracyLedger(AccuracyOptions options) : options_(options) {}
 
 std::vector<ValidationScenario> AccuracyLedger::default_matrix() {
   std::vector<ValidationScenario> matrix;
   // §4 headline NFs over their figure sweep variables. LPM always ports
   // through the match-action engine with the flow cache (the plan the
-  // mapper selects — see make_program's engine guard); the sweep varies
-  // rule-table size plus one skewed-flow point that stresses the cache.
+  // mapper selects — see validate_prediction's engine guard); the sweep
+  // varies rule-table size plus one skewed-flow point that stresses the
+  // cache.
   for (const std::uint64_t rules : {5'000ull, 15'000ull, 30'000ull}) {
     matrix.push_back({"lpm", strf("rules=%llu", (unsigned long long)rules),
                       "tcp=0.8 flows=5000 payload=300 pps=60000 packets=20000", rules, true});
@@ -244,7 +201,7 @@ AccuracyReport AccuracyLedger::run(const std::vector<ValidationScenario>& matrix
     if (options_.max_packets > 0) wl.packets = std::min(wl.packets, options_.max_packets);
     const auto trace = workload::generate_trace(wl);
 
-    auto fn = make_function(scenario);
+    auto fn = scenario.build();
     if (!fn) {
       out.ok = false;
       out.error = slot.error = fn.error().message;

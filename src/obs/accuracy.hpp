@@ -26,14 +26,15 @@
 
 #include "common/result.hpp"
 #include "core/clara.hpp"
+#include "core/sweep.hpp"
 #include "obs/breakdown.hpp"
 
 namespace clara::obs {
 
-/// One cell of the validation matrix: a registry NF, the knob setting
+/// One cell of the validation matrix: a catalog NF, the knob setting
 /// being swept ("rules=5000", "payload=800"), and its workload spec.
 struct ValidationScenario {
-  std::string nf;        // ported-NF registry name ("lpm", "nat", ...)
+  std::string nf;        // ported-NF catalog name ("lpm", "nat", ...)
   std::string variant;   // human label for the swept knob
   std::string workload;  // workload spec; the ledger overrides the seed
   /// LPM-only knobs (the Figure 3(a) sweep variable).
@@ -41,6 +42,9 @@ struct ValidationScenario {
   bool lpm_flow_cache = false;
 
   [[nodiscard]] std::string name() const { return nf + "/" + variant; }
+  /// The scenario's unported CIR: the catalog entry's, with lpm built at
+  /// the LPM knobs above. Errors on NFs without a hand port.
+  [[nodiscard]] Result<cir::Function> build() const;
 };
 
 /// Predicted-vs-simulated charge for one breakdown component.
@@ -142,15 +146,27 @@ class AccuracyLedger {
   AccuracyOptions options_;
 };
 
-/// Ground truth for one already-analyzed registry NF: sets up the ported
-/// simulator program with table placements aligned to the analysis
-/// mapping, replays the trace, and returns the scenario result with
-/// per-component attribution. Errors on NFs without a hand-port
+/// Ground truth for one already-analyzed catalog NF: sets up its hand
+/// port with the analyzed CIR's tables placed where the analysis mapping
+/// put them, replays the trace, and returns the scenario result with
+/// per-component attribution. Errors on NFs without a hand port
 /// (`clara analyze --validate` on --nf-file inputs).
 Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer,
                                                   const ValidationScenario& scenario,
                                                   const core::Analysis& analysis,
                                                   const workload::Trace& trace);
+
+/// The `sweep_replay` scenario that `clara bench sweep_replay`,
+/// perf_micro and the parallel-speedup test time: the catalog's NAT port
+/// at its default placement, replayed at eight offered loads (20 to 160
+/// kpps, base seed 42). A point's value is its mean simulated latency
+/// in cycles.
+struct SweepReplay {
+  std::vector<core::SweepPoint> grid;
+  core::SweepEval eval;
+  std::uint64_t packets_per_point = 0;
+};
+SweepReplay sweep_replay();
 
 /// Per-component error table for a single scenario (the CLI --validate
 /// view): component | predicted | simulated | gap | share of error.

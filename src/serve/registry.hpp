@@ -1,30 +1,15 @@
-// The built-in NF corpus, by name — shared by the CLI (`clara analyze
-// --nf <name>`, `clara list-nfs`) and the analysis daemon (Request::nf).
-//
-// This used to live inside clara_cli; serving moved it behind a library
-// boundary so every front end resolves names identically.
+// Serving-layer names for the NF catalog (nf/catalog.hpp), for code that
+// resolves NFs through this header.
 #pragma once
 
-#include <string_view>
-#include <vector>
-
-#include "cir/function.hpp"
+#include "nf/catalog.hpp"
 
 namespace clara::serve {
 
-struct NfEntry {
-  const char* name;
-  const char* description;
-  cir::Function (*build)();
-};
+using NfEntry = nf::CatalogEntry;
+using nf::find_nf;
+using nf::nf_names;
 
-/// The corpus, in listing order.
-const std::vector<NfEntry>& nf_registry();
-
-/// Lookup by name; nullptr when unknown.
-const NfEntry* find_nf(std::string_view name);
-
-/// Registry names, for did-you-mean suggestions on unknown NFs.
-const std::vector<std::string>& nf_names();
+inline const std::vector<NfEntry>& nf_registry() { return nf::catalog(); }
 
 }  // namespace clara::serve

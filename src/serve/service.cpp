@@ -10,11 +10,11 @@
 #include "core/partial.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault.hpp"
+#include "nf/catalog.hpp"
 #include "obs/accuracy.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/metrics.hpp"
 #include "passes/symexec.hpp"
-#include "serve/registry.hpp"
 #include "workload/trace_io.hpp"
 
 namespace clara::serve {
@@ -40,10 +40,10 @@ Result<cir::Function> resolve_nf(const Request& request) {
     }
     return std::move(mod.value().functions.front());
   }
-  const NfEntry* entry = find_nf(request.nf);
+  const nf::CatalogEntry* entry = nf::find_nf(request.nf);
   if (entry == nullptr) {
     std::string message = strf("unknown NF \"%s\"", request.nf.c_str());
-    const std::string suggestion = closest_match(request.nf, nf_names());
+    const std::string suggestion = closest_match(request.nf, nf::nf_names());
     if (!suggestion.empty()) message += strf(" (did you mean \"%s\"?)", suggestion.c_str());
     return make_error(ErrorCode::kParse, std::move(message));
   }
@@ -236,16 +236,6 @@ Response handle_validate(const Request& request, const core::Analyzer& analyzer,
   scenario.nf = request.nf.empty() ? fn.name : request.nf;
   scenario.variant = "serve";
   scenario.workload = trace.profile.serialize();
-  // The corpus lpm variants carry their knobs in the name; mirror them
-  // so the ported simulator program matches what resolve_nf built.
-  if (scenario.nf == "lpm") {
-    scenario.lpm_rules = 10'000;
-    scenario.lpm_flow_cache = true;
-  } else if (scenario.nf == "lpm-nocache") {
-    scenario.nf = "lpm";
-    scenario.lpm_rules = 10'000;
-    scenario.lpm_flow_cache = false;
-  }
   auto validated = obs::validate_prediction(analyzer, scenario, analysis.value(), trace);
   if (!validated) {
     return core::error_response(request, validated.error().code, validated.error().message);

@@ -50,13 +50,12 @@
 #include "fault/fault.hpp"
 #include "frontend/p4lite.hpp"
 #include "microbench/microbench.hpp"
-#include "nf/nf_ported.hpp"
+#include "nf/catalog.hpp"
 #include "nicsim/sim.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/patterns.hpp"
 #include "serve/client.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/registry.hpp"
 #include "serve/service.hpp"
 #include "workload/analysis.hpp"
 #include "workload/trace_io.hpp"
@@ -188,8 +187,8 @@ bool install_fault_plan(const Args& args) {
 //
 // The analysis commands no longer load NFs in-process — they build a
 // core::Request and let the Service resolve the NF (the corpus itself
-// lives in serve::nf_registry, shared with the daemon). load_nf remains
-// for the commands that genuinely need a local cir::Function.
+// lives in nf::catalog, shared with the daemon). load_nf remains for the
+// commands that genuinely need a local cir::Function.
 
 std::optional<cir::Function> load_nf(const Args& args) {
   if (args.has("nf-p4")) {
@@ -231,7 +230,7 @@ std::optional<cir::Function> load_nf(const Args& args) {
     return mod.value().functions.front();
   }
   const std::string name = args.get("nf");
-  if (const serve::NfEntry* entry = serve::find_nf(name)) return entry->build();
+  if (const nf::CatalogEntry* entry = nf::find_nf(name)) return entry->build();
   std::fprintf(stderr, "unknown NF '%s' (try: clara list-nfs)\n", name.c_str());
   return std::nullopt;
 }
@@ -376,7 +375,7 @@ std::optional<core::Request> build_analyze_request(const Args& args) {
 
 int cmd_list_nfs() {
   TextTable table({"name", "description"});
-  for (const auto& entry : serve::nf_registry()) table.add_row({entry.name, entry.description});
+  for (const auto& entry : nf::catalog()) table.add_row({entry.name, entry.description});
   std::printf("%s", table.render().c_str());
   return 0;
 }
@@ -554,37 +553,17 @@ int cmd_simulate(const Args& args) {
   if (!trace) return 1;
   const std::string name = args.get("nf");
 
-  nicsim::NicSim sim;
-  std::unique_ptr<nicsim::NicProgram> program;
-  if (name == "nat") {
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    program = std::make_unique<nf::NatProgram>(table, !args.has("csum-sw"));
-  } else if (name == "lpm") {
-    auto& lpm = sim.create_lpm("routes", 10000, 4096);
-    program = std::make_unique<nf::LpmProgram>(lpm, !args.has("no-flow-cache"));
-  } else if (name == "firewall") {
-    auto& conn = sim.create_table("conn_table", 16384, 64, nicsim::MemLevel::kImem);
-    auto& rules = sim.create_table("rules", 1024, 32, nicsim::MemLevel::kCtm);
-    program = std::make_unique<nf::FwProgram>(conn, rules);
-  } else if (name == "dpi") {
-    program = std::make_unique<nf::DpiProgram>();
-  } else if (name == "heavy-hitter") {
-    auto& counters = sim.create_table("counters", 16384, 32, nicsim::MemLevel::kImem);
-    program = std::make_unique<nf::HhProgram>(counters);
-  } else if (name == "vnf-chain") {
-    auto& meters = sim.create_table("meters", 4096, 32, nicsim::MemLevel::kCtm);
-    auto& stats = sim.create_table("flow_stats", 16384, 32, nicsim::MemLevel::kImem);
-    program = std::make_unique<nf::VnfProgram>(meters, stats);
-  } else if (name == "crypto-gw") {
-    auto& sa = sim.create_table("sa_table", 4096, 64, nicsim::MemLevel::kCtm);
-    program = std::make_unique<nf::CryptoGwProgram>(sa, true);
-  } else if (name == "rewrite") {
-    program = std::make_unique<nf::RewriteProgram>();
-  } else {
+  // --no-flow-cache runs the catalog's cacheless LPM build.
+  const nf::CatalogEntry* entry =
+      nf::find_nf(name == "lpm" && args.has("no-flow-cache") ? "lpm-nocache" : name);
+  if (entry == nullptr || entry->port == nullptr) {
     std::fprintf(stderr, "no ported implementation for '%s'\n", name.c_str());
     return 1;
   }
-
+  nf::Placement placement = entry->placement;
+  placement.csum_on_engine = !args.has("csum-sw");
+  nicsim::NicSim sim;
+  const auto program = entry->port(sim, entry->build(), placement);
   const auto stats = sim.run(*program, *trace);
   std::printf("simulated '%s': %llu packets, %llu drops\n", name.c_str(),
               (unsigned long long)stats.packets, (unsigned long long)stats.drops);
@@ -743,22 +722,10 @@ int cmd_bench(const Args& args) {
     return 0;
   }
   if (scenario == "sweep_replay") {
-    const auto eval = [](const core::SweepPoint& point, core::SweepResult& result) {
-      auto profile = workload::parse_profile("tcp=0.8 flows=2000 payload=300 packets=4000").value();
-      profile.pps = point.load_pps;
-      profile.seed = point.seed;
-      const auto trace = workload::generate_trace(profile);
-      nicsim::NicSim sim;
-      auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-      nf::NatProgram program(table, true);
-      const auto stats = sim.run(program, trace);
-      result.value = stats.mean_latency();
-    };
-    std::vector<double> loads;
-    for (std::size_t i = 0; i < 8; ++i) loads.push_back(20'000.0 + 20'000.0 * static_cast<double>(i));
+    const auto replay = obs::sweep_replay();
     core::SweepOptions options;
     options.jobs = parallel::jobs();
-    const auto points = core::run_sweep(core::make_grid(loads, {}, 42), eval, options);
+    const auto points = core::run_sweep(replay.grid, replay.eval, options);
     std::printf("sweep_replay: %zu points, %.2f ms (jobs=%zu)\n", points.size(), wall_ms(),
                 parallel::jobs());
     return 0;

@@ -7,8 +7,8 @@
 #include "cir/builder.hpp"
 #include "common/strings.hpp"
 #include "core/clara.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "workload/tracegen.hpp"
 
@@ -19,14 +19,13 @@ workload::Trace make_trace(const std::string& spec) {
   return workload::generate_trace(workload::parse_profile(spec).value());
 }
 
-nicsim::MemLevel level_of(const lnic::NicProfile& profile, NodeId region) {
-  switch (profile.graph.node(region).memory()->kind) {
-    case lnic::MemKind::kLocal: return nicsim::MemLevel::kLocal;
-    case lnic::MemKind::kCtm: return nicsim::MemLevel::kCtm;
-    case lnic::MemKind::kImem: return nicsim::MemLevel::kImem;
-    case lnic::MemKind::kEmem: return nicsim::MemLevel::kEmem;
-  }
-  return nicsim::MemLevel::kEmem;
+/// Replays `trace` through `name`'s hand port, its tables laid out from
+/// `fn` and placed where `analysis` mapped them.
+nicsim::RunStats simulate_mapped(const char* name, const cir::Function& fn,
+                                 const Analyzer& analyzer, const Analysis& analysis,
+                                 const workload::Trace& trace) {
+  const auto placement = nf::placement_of(analyzer.profile(), analysis.mapping.state_region);
+  return nf::simulate(name, fn, placement, trace).value();
 }
 
 double relative_error(double predicted, double actual) {
@@ -36,14 +35,10 @@ double relative_error(double predicted, double actual) {
 TEST(Analyzer, NatAccuracy) {
   const auto trace = make_trace("tcp=0.8 flows=10000 payload=300 pps=60000 packets=50000");
   Analyzer clara_tool(lnic::netronome_agilio_cx());
-  const auto analysis = clara_tool.analyze(nf::build_nat_nf(), trace);
+  const auto nat = nf::build_nat_nf();
+  const auto analysis = clara_tool.analyze(nat, trace);
   ASSERT_TRUE(analysis.ok()) << analysis.error().message;
-
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64,
-                                 level_of(clara_tool.profile(), analysis.value().mapping.state_region[0]));
-  nf::NatProgram ported(table, true);
-  const auto stats = sim.run(ported, trace);
+  const auto stats = simulate_mapped("nat", nat, clara_tool, analysis.value(), trace);
 
   // Paper §4 reports 7% for NAT; hold ourselves to 15%.
   EXPECT_LT(relative_error(analysis.value().prediction.mean_latency_cycles, stats.mean_latency()), 0.15);
@@ -53,14 +48,10 @@ TEST(Analyzer, LpmAccuracyAcrossTableSizes) {
   Analyzer clara_tool(lnic::netronome_agilio_cx());
   for (const std::uint64_t rules : {5000ull, 15000ull, 30000ull}) {
     const auto trace = make_trace("tcp=0.8 flows=5000 payload=300 pps=60000 packets=30000");
-    const auto analysis =
-        clara_tool.analyze(nf::build_lpm_nf({.rules = rules, .use_flow_cache = false}), trace);
+    const auto lpm = nf::build_lpm_nf({.rules = rules, .use_flow_cache = false});
+    const auto analysis = clara_tool.analyze(lpm, trace);
     ASSERT_TRUE(analysis.ok()) << analysis.error().message;
-
-    nicsim::NicSim sim;
-    auto& lpm = sim.create_lpm("routes", rules, 0);
-    nf::LpmProgram ported(lpm, false);
-    const auto stats = sim.run(ported, trace);
+    const auto stats = simulate_mapped("lpm", lpm, clara_tool, analysis.value(), trace);
     // Paper reports 12% for LPM.
     EXPECT_LT(relative_error(analysis.value().prediction.mean_latency_cycles, stats.mean_latency()), 0.20)
         << rules << " rules: predicted " << analysis.value().prediction.mean_latency_cycles << " actual "
@@ -72,16 +63,10 @@ TEST(Analyzer, VnfAccuracyAcrossPayloads) {
   Analyzer clara_tool(lnic::netronome_agilio_cx());
   for (const int payload : {200, 700, 1400}) {
     const auto trace = make_trace(strf("tcp=0.8 flows=4000 payload=%d pps=60000 packets=20000", payload));
-    const auto analysis = clara_tool.analyze(nf::build_vnf_chain(), trace);
+    const auto vnf = nf::build_vnf_chain();
+    const auto analysis = clara_tool.analyze(vnf, trace);
     ASSERT_TRUE(analysis.ok()) << analysis.error().message;
-
-    nicsim::NicSim sim;
-    const auto& profile = clara_tool.profile();
-    const auto& mapping = analysis.value().mapping;
-    auto& meters = sim.create_table("meters", 4096, 32, level_of(profile, mapping.state_region[0]));
-    auto& stats_table = sim.create_table("flow_stats", 16384, 32, level_of(profile, mapping.state_region[1]));
-    nf::VnfProgram ported(meters, stats_table);
-    const auto stats = sim.run(ported, trace);
+    const auto stats = simulate_mapped("vnf-chain", vnf, clara_tool, analysis.value(), trace);
     // Paper reports 3% for the VNF chain; scan-dominated, so generous 20%.
     EXPECT_LT(relative_error(analysis.value().prediction.mean_latency_cycles, stats.mean_latency()), 0.20)
         << payload << "B: predicted " << analysis.value().prediction.mean_latency_cycles << " actual "
@@ -300,10 +285,8 @@ TEST(Analyzer, EmptyTraceRejected) {
 TEST(Analyzer, AllNfsAnalyzeOnNetronome) {
   Analyzer clara_tool(lnic::netronome_agilio_cx());
   const auto trace = make_trace("payload=300 pps=60000 packets=3000");
-  for (const auto& fn :
-       {nf::build_lpm_nf(), nf::build_nat_nf(), nf::build_fw_nf(), nf::build_dpi_nf(), nf::build_hh_nf(),
-        nf::build_meter_nf(), nf::build_flowstats_nf(), nf::build_rewrite_nf(), nf::build_vnf_chain(),
-        nf::build_csum_loop_nf(), nf::build_rate_estimator_nf()}) {
+  for (const auto& entry : nf::catalog()) {
+    const auto fn = entry.build();
     const auto analysis = clara_tool.analyze(fn, trace);
     EXPECT_TRUE(analysis.ok()) << fn.name << ": " << (analysis.ok() ? "" : analysis.error().message);
     if (analysis.ok()) {

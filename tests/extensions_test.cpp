@@ -6,8 +6,8 @@
 #include "core/clara.hpp"
 #include "core/energy.hpp"
 #include "core/partial.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/dataflow.hpp"
@@ -87,9 +87,8 @@ TEST(Energy, DpiCostsMoreThanRewrite) {
 
 TEST(Energy, SimulatorMeasuresEnergy) {
   nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram program(table, true);
-  const auto stats = sim.run(program, make_trace("payload=300 pps=60000 packets=5000"));
+  auto program = nf::make_port("nat", sim).value();
+  const auto stats = sim.run(*program, make_trace("payload=300 pps=60000 packets=5000"));
   EXPECT_GT(stats.energy_nj_per_packet, 0.0);
   EXPECT_GT(stats.energy_watts, 15.0);
   EXPECT_LT(stats.energy_watts, 60.0);
@@ -102,9 +101,8 @@ TEST(Energy, PredictionTracksSimulatorWithinFactor) {
   const auto predicted = core::predict_energy(p.fn, p.graph, p.mapping, p.mapper, trace);
 
   nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram program(table, true);
-  const auto stats = sim.run(program, trace);
+  auto program = nf::make_port("nat", sim).value();
+  const auto stats = sim.run(*program, trace);
 
   EXPECT_GT(predicted.nj_per_packet, stats.energy_nj_per_packet / 2.0);
   EXPECT_LT(predicted.nj_per_packet, stats.energy_nj_per_packet * 2.0);

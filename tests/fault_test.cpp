@@ -29,8 +29,8 @@
 #include "frontend/p4lite.hpp"
 #include "lnic/profiles.hpp"
 #include "mapping/mapping.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "common/json.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/metrics.hpp"
@@ -198,9 +198,8 @@ TEST(FaultPlanTest, FiringSiteDumpsFlightRecorder) {
 
 nicsim::RunStats run_nat_sim(const workload::Trace& trace) {
   nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram program(table, true);
-  return sim.run(program, trace);
+  auto program = nf::make_port("nat", sim).value();
+  return sim.run(*program, trace);
 }
 
 TEST(NicSimFaultTest, DropInjectionIsDeterministic) {

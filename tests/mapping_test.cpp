@@ -5,6 +5,7 @@
 
 #include "cir/builder.hpp"
 #include "mapping/mapping.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/patterns.hpp"
@@ -200,9 +201,8 @@ TEST(Mapper, IlpNeverWorseThanGreedy) {
   const auto profile = lnic::netronome_agilio_cx();
   const Mapper mapper(profile);
   CostHints hints;
-  for (auto* builder : {+[] { return nf::build_nat_nf(); }, +[] { return nf::build_fw_nf(); },
-                        +[] { return nf::build_hh_nf(); }, +[] { return nf::build_vnf_chain(); }}) {
-    const auto prep = prepare(builder(), hints);
+  for (const char* name : {"nat", "firewall", "heavy-hitter", "vnf-chain"}) {
+    const auto prep = prepare(nf::find_nf(name)->build(), hints);
     const auto ilp = mapper.map(prep.graph, hints);
     const auto greedy = mapper.map_greedy(prep.graph, hints);
     ASSERT_TRUE(ilp.ok()) << ilp.error().message;

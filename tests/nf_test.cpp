@@ -3,8 +3,11 @@
 // simulator program, plus CIR/ported correspondence checks.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "cir/interp.hpp"
 #include "core/clara.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
 #include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
@@ -224,23 +227,22 @@ TEST(NfPorted, HhLatencyInsensitiveToFlowCount) {
 
 TEST(NfPorted, AllProgramsDeliverEveryPacket) {
   const auto trace = small_trace();
-  {
+  for (const auto& entry : catalog()) {
+    if (entry.port == nullptr) continue;
     nicsim::NicSim sim;
-    auto& t = sim.create_table("t", 1024, 64, nicsim::MemLevel::kCtm);
-    NatProgram p(t, true);
-    EXPECT_EQ(sim.run(p, trace).packets, trace.size());
+    auto program = make_port(entry.name, sim).value();
+    EXPECT_EQ(sim.run(*program, trace).packets, trace.size()) << entry.name;
   }
-  {
+  // 1024-entry tables, so flows collide on slots.
+  const std::vector<std::tuple<const char*, cir::Function, nicsim::MemLevel>> small = {
+      {"nat", build_nat_nf({.flow_entries = 1024}), nicsim::MemLevel::kCtm},
+      {"crypto-gw", build_crypto_gw_nf({.sa_entries = 1024}), nicsim::MemLevel::kCtm},
+      {"flow-stats", build_flowstats_nf({.entries = 1024}), nicsim::MemLevel::kImem},
+  };
+  for (const auto& [name, fn, level] : small) {
     nicsim::NicSim sim;
-    auto& sa = sim.create_table("sa", 1024, 64, nicsim::MemLevel::kCtm);
-    CryptoGwProgram p(sa, true);
-    EXPECT_EQ(sim.run(p, trace).packets, trace.size());
-  }
-  {
-    nicsim::NicSim sim;
-    auto& s = sim.create_table("s", 1024, 32, nicsim::MemLevel::kImem);
-    FlowStatsProgram p(s);
-    EXPECT_EQ(sim.run(p, trace).packets, trace.size());
+    auto program = make_port(name, sim, fn, {{level}}).value();
+    EXPECT_EQ(sim.run(*program, trace).packets, trace.size()) << name;
   }
 }
 

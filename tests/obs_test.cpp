@@ -15,8 +15,8 @@
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "core/clara.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/metrics.hpp"
@@ -291,9 +291,8 @@ TEST_F(TracerTest, PipelinePhasesAppearInTrace) {
   ASSERT_TRUE(analysis.ok()) << analysis.error().message;
 
   nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram ported(table, true);
-  (void)sim.run(ported, trace);
+  auto ported = nf::make_port("nat", sim).value();
+  (void)sim.run(*ported, trace);
 
   const std::string json = tracer().to_chrome_json();
   EXPECT_TRUE(balanced_json(json));
@@ -331,9 +330,8 @@ TEST_F(TracerTest, ThreadsGetDistinctIds) {
 TEST(Breakdown, SimulatedComponentsSumToLatency) {
   const auto trace = make_trace("tcp=0.8 flows=2000 payload=300 pps=60000 packets=10000");
   nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram ported(table, true);
-  const auto stats = sim.run(ported, trace);
+  auto ported = nf::make_port("nat", sim).value();
+  const auto stats = sim.run(*ported, trace);
 
   ASSERT_GT(stats.packets, 0u);
   EXPECT_EQ(stats.breakdown.packets(), stats.packets);

@@ -7,7 +7,7 @@
 #include "cir/builder.hpp"
 #include "cir/interp.hpp"
 #include "cir/verify.hpp"
-#include "nf/nf_cir.hpp"
+#include "nf/catalog.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/optimize.hpp"
 #include "passes/patterns.hpp"
@@ -133,9 +133,8 @@ TEST(Optimize, DoesNotFoldDivByZero) {
 }
 
 TEST(Optimize, IdempotentOnCorpus) {
-  for (auto builder : {+[] { return nf::build_nat_nf(); }, +[] { return nf::build_fw_nf(); },
-                       +[] { return nf::build_dpi_nf(); }, +[] { return nf::build_vnf_chain(); }}) {
-    auto fn = builder();
+  for (const char* name : {"nat", "firewall", "dpi", "vnf-chain"}) {
+    auto fn = nf::find_nf(name)->build();
     substitute_framework_apis(fn);
     optimize(fn);
     auto second = optimize(fn);
@@ -147,10 +146,8 @@ TEST(Optimize, IdempotentOnCorpus) {
 TEST(Optimize, PreservesObservableBehaviour) {
   // Same vcall sequence (names + argument values) before and after, for
   // every corpus NF, under a fixed environment.
-  for (auto builder : {+[] { return nf::build_nat_nf(); }, +[] { return nf::build_fw_nf(); },
-                       +[] { return nf::build_hh_nf(); }, +[] { return nf::build_meter_nf(); },
-                       +[] { return nf::build_crypto_gw_nf(); }, +[] { return nf::build_rewrite_nf(); }}) {
-    auto original = builder();
+  for (const char* name : {"nat", "firewall", "heavy-hitter", "meter", "crypto-gw", "rewrite"}) {
+    auto original = nf::find_nf(name)->build();
     substitute_framework_apis(original);
     auto optimized = original;
     optimize(optimized);

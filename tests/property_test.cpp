@@ -12,7 +12,7 @@
 #include "cir/verify.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "nf/nf_cir.hpp"
+#include "nf/catalog.hpp"
 #include "obs/accuracy.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/optimize.hpp"
@@ -146,22 +146,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 30));
 
 // --- Symbolic paths cover concrete executions ------------------------------
 
-class PathCoverageTest : public ::testing::TestWithParam<int> {
- protected:
-  static cir::Function nf_by_index(int i) {
-    switch (i) {
-      case 0: return nf::build_nat_nf();
-      case 1: return nf::build_fw_nf();
-      case 2: return nf::build_meter_nf();
-      case 3: return nf::build_hh_nf();
-      case 4: return nf::build_crypto_gw_nf();
-      default: return nf::build_rewrite_nf();
-    }
-  }
-};
+class PathCoverageTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PathCoverageTest, EveryConcreteRunMatchesAnEnumeratedPath) {
-  auto fn = nf_by_index(GetParam());
+  const char* const kNfs[] = {"nat", "firewall", "meter", "heavy-hitter", "crypto-gw", "rewrite"};
+  auto fn = nf::find_nf(kNfs[GetParam()])->build();
   passes::substitute_framework_apis(fn);
   passes::collapse_packet_loops(fn);
   const auto paths = passes::enumerate_paths(fn);

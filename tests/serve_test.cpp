@@ -28,12 +28,14 @@
 #include <thread>
 #include <vector>
 
+#include "cir/printer.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "core/cache.hpp"
 #include "core/request.hpp"
 #include "fault/fault.hpp"
+#include "nf/nf_cir.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
@@ -419,6 +421,44 @@ TEST(ServeServiceTest, SweepValidatesGridAndReturnsPoints) {
   ASSERT_EQ(response.sweep.size(), 2u);
   EXPECT_EQ(response.sweep[0].pps, 40'000.0);
   EXPECT_TRUE(response.sweep[0].ok) << response.sweep[0].error;
+}
+
+TEST(ServeDaemonTest, InlineCirWithDegenerateTablesGetsTypedErrorsAndDaemonStaysUp) {
+  CacheGuard cache;
+  DaemonOptions options;
+  options.socket_path = temp_socket("tables");
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.start().ok());
+  auto client = Client::connect(options.socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().message;
+
+  // Inline CIR named "nat" validates against the NAT port, whose tables
+  // follow the CIR's state objects: no entries, and entries that only a
+  // zero entry size lets past the mapper's capacity check.
+  const auto validate = [](const char* id, std::uint64_t entries, Bytes entry_bytes) {
+    auto fn = nf::build_nat_nf();
+    fn.state_objects[0].entries = entries;
+    fn.state_objects[0].entry_bytes = entry_bytes;
+    Request request = small_analyze("");
+    request.id = id;
+    request.kind = RequestKind::kValidate;
+    cir::Module module;
+    module.name = "hostile";
+    module.functions.push_back(std::move(fn));
+    request.nf_cir = cir::print_module(module);
+    return request;
+  };
+  for (const Request& hostile : {validate("empty", 0, 64), validate("huge", 1ull << 62, 0)}) {
+    auto response = client.value().call(hostile);
+    ASSERT_TRUE(response.ok()) << hostile.id << ": " << response.error().message;
+    ASSERT_FALSE(response.value().ok) << hostile.id;
+    EXPECT_EQ(response.value().error_code, ErrorCode::kVerify) << hostile.id;
+    EXPECT_NE(response.value().error.find("entries"), std::string::npos) << response.value().error;
+  }
+  auto healthy = client.value().call(validate("ok", 1024, 64));
+  ASSERT_TRUE(healthy.ok()) << healthy.error().message;
+  EXPECT_TRUE(healthy.value().ok) << healthy.value().error;
+  daemon.stop();
 }
 
 TEST(ServeServiceTest, HelloKindIsNotServable) {

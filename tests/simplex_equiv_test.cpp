@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,8 +20,7 @@
 #include "ilp/solver.hpp"
 #include "lnic/profiles.hpp"
 #include "mapping/mapping.hpp"
-#include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
+#include "nf/catalog.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/accuracy.hpp"
 #include "passes/api_subst.hpp"
@@ -156,52 +154,6 @@ TEST(SimplexEquiv, ExampleMappingsBitIdenticalAcrossEngines) {
 
 // --- SoA vs scalar simulator -------------------------------------------------
 
-/// Instantiates the hand-ported program for a ledger scenario with fixed
-/// placements (EMEM primary, IMEM secondary) — placement doesn't matter
-/// for SoA-vs-scalar identity, only that both sims are configured the
-/// same way.
-std::unique_ptr<nicsim::NicProgram> make_scenario_program(const obs::ValidationScenario& s,
-                                                          nicsim::NicSim& sim) {
-  using nicsim::MemLevel;
-  if (s.nf == "lpm") {
-    auto& lpm = sim.create_lpm("routes", s.lpm_rules, s.lpm_flow_cache ? 4096 : 0);
-    return std::make_unique<nf::LpmProgram>(lpm, s.lpm_flow_cache);
-  }
-  if (s.nf == "nat") {
-    auto& table = sim.create_table("flow_table", 131072, 64, MemLevel::kEmem);
-    return std::make_unique<nf::NatProgram>(table, true);
-  }
-  if (s.nf == "firewall") {
-    auto& conn = sim.create_table("conn_table", 16384, 64, MemLevel::kEmem);
-    auto& rules = sim.create_table("rules", 1024, 32, MemLevel::kImem);
-    return std::make_unique<nf::FwProgram>(conn, rules);
-  }
-  if (s.nf == "dpi") return std::make_unique<nf::DpiProgram>();
-  if (s.nf == "heavy-hitter") {
-    auto& counters = sim.create_table("counters", 16384, 32, MemLevel::kEmem);
-    return std::make_unique<nf::HhProgram>(counters);
-  }
-  if (s.nf == "meter") {
-    auto& buckets = sim.create_table("buckets", 4096, 32, MemLevel::kEmem);
-    return std::make_unique<nf::MeterProgram>(buckets);
-  }
-  if (s.nf == "flow-stats") {
-    auto& stats = sim.create_table("flow_stats", 16384, 32, MemLevel::kEmem);
-    return std::make_unique<nf::FlowStatsProgram>(stats);
-  }
-  if (s.nf == "rewrite") return std::make_unique<nf::RewriteProgram>();
-  if (s.nf == "vnf-chain") {
-    auto& meters = sim.create_table("meters", 4096, 32, MemLevel::kEmem);
-    auto& stats = sim.create_table("flow_stats", 16384, 32, MemLevel::kImem);
-    return std::make_unique<nf::VnfProgram>(meters, stats);
-  }
-  if (s.nf == "crypto-gw") {
-    auto& sa = sim.create_table("sa_table", 4096, 64, MemLevel::kEmem);
-    return std::make_unique<nf::CryptoGwProgram>(sa, true);
-  }
-  return nullptr;
-}
-
 void expect_identical_accumulators(const Accumulator& a, const Accumulator& b,
                                    const std::string& label) {
   EXPECT_EQ(a.count(), b.count()) << label;
@@ -219,16 +171,22 @@ TEST(SoaEquiv, BatchedRunMatchesScalarOnLedgerScenarios) {
     const auto profile = workload::parse_profile(scenario.workload);
     ASSERT_TRUE(profile.ok()) << scenario.name();
     const auto trace = workload::generate_trace(profile.value());
+    const auto fn = scenario.build();
+    ASSERT_TRUE(fn.ok()) << scenario.name();
 
+    // Fixed placements (EMEM primary, IMEM secondary): placement doesn't
+    // matter for SoA-vs-scalar identity, only that both sims are
+    // configured the same way.
+    const nf::Placement fixed{{nicsim::MemLevel::kEmem, nicsim::MemLevel::kImem}};
     nicsim::NicSim soa_sim;
     nicsim::NicSim scalar_sim;
-    auto soa_program = make_scenario_program(scenario, soa_sim);
-    auto scalar_program = make_scenario_program(scenario, scalar_sim);
-    ASSERT_NE(soa_program, nullptr) << scenario.name();
-    ASSERT_NE(scalar_program, nullptr) << scenario.name();
+    auto soa_program = nf::make_port(scenario.nf, soa_sim, fn.value(), fixed);
+    auto scalar_program = nf::make_port(scenario.nf, scalar_sim, fn.value(), fixed);
+    ASSERT_TRUE(soa_program.ok()) << scenario.name();
+    ASSERT_TRUE(scalar_program.ok()) << scenario.name();
 
-    const auto batched = soa_sim.run(*soa_program, trace);
-    const auto scalar = scalar_sim.run_scalar(*scalar_program, trace);
+    const auto batched = soa_sim.run(*soa_program.value(), trace);
+    const auto scalar = scalar_sim.run_scalar(*scalar_program.value(), trace);
     const std::string label = scenario.name();
 
     EXPECT_EQ(batched.packets, scalar.packets) << label;
@@ -264,14 +222,12 @@ TEST(SoaEquiv, BatchedRunMatchesScalarAcrossRepeatedRunsOnOneSim) {
 
   nicsim::NicSim soa_sim;
   nicsim::NicSim scalar_sim;
-  auto& soa_table = soa_sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  auto& scalar_table = scalar_sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram soa_program(soa_table, true);
-  nf::NatProgram scalar_program(scalar_table, true);
+  auto soa_program = nf::make_port("nat", soa_sim).value();
+  auto scalar_program = nf::make_port("nat", scalar_sim).value();
 
   for (int round = 0; round < 3; ++round) {
-    const auto batched = soa_sim.run(soa_program, trace);
-    const auto scalar = scalar_sim.run_scalar(scalar_program, trace);
+    const auto batched = soa_sim.run(*soa_program, trace);
+    const auto scalar = scalar_sim.run_scalar(*scalar_program, trace);
     const std::string label = "round " + std::to_string(round);
     EXPECT_EQ(batched.packets, scalar.packets) << label;
     EXPECT_EQ(batched.drops, scalar.drops) << label;

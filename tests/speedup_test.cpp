@@ -4,8 +4,9 @@
 // when real cores are available. Auto-skips on starved runners
 // (hardware_concurrency < 4: time-sliced threads can't honor the
 // contract; perf_micro flags such runs `oversubscribed` and benchdiff
-// gates them on regression only) and under ThreadSanitizer (instrumented
-// synchronization distorts the ratio).
+// gates them on regression only) and under ThreadSanitizer or
+// AddressSanitizer (instrumentation distorts the ratio). ctest runs it
+// with RUN_SERIAL so other tests do not compete for the cores it times.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,15 +16,21 @@
 #include "core/sweep.hpp"
 #include "ilp/instances.hpp"
 #include "ilp/solver.hpp"
-#include "nf/nf_ported.hpp"
-#include "nicsim/sim.hpp"
-#include "workload/tracegen.hpp"
+#include "obs/accuracy.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define CLARA_TSAN 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define CLARA_TSAN 1
+#endif
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CLARA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CLARA_ASAN 1
 #endif
 #endif
 
@@ -39,8 +46,11 @@ double ms_since(Clock::time_point t0) {
 constexpr std::size_t kJobs = 4;
 
 bool skip_reason(std::string* why) {
-#ifdef CLARA_TSAN
+#if defined(CLARA_TSAN)
   *why = "ThreadSanitizer build: instrumented synchronization distorts speedup";
+  return true;
+#elif defined(CLARA_ASAN)
+  *why = "AddressSanitizer build: instrumented memory accesses distort speedup";
   return true;
 #else
   if (std::thread::hardware_concurrency() < kJobs) {
@@ -96,21 +106,9 @@ TEST(Speedup, SweepReplayParallelBeatsSerial) {
   if (skip_reason(&why)) GTEST_SKIP() << why;
   JobsGuard guard(kJobs);
 
-  const auto eval = [](const core::SweepPoint& point, core::SweepResult& result) {
-    auto profile = workload::parse_profile("tcp=0.8 flows=2000 payload=300 packets=4000").value();
-    profile.pps = point.load_pps;
-    profile.seed = point.seed;
-    const auto trace = workload::generate_trace(profile);
-    nicsim::NicSim sim;
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    nf::NatProgram program(table, true);
-    const auto stats = sim.run(program, trace);
-    result.value = stats.mean_latency();
-    result.stats.add(stats.mean_latency());
-  };
-  std::vector<double> loads;
-  for (std::size_t i = 0; i < 8; ++i) loads.push_back(20'000.0 + 20'000.0 * static_cast<double>(i));
-  const auto grid = core::make_grid(loads, {}, 42);
+  const auto replay = obs::sweep_replay();
+  const auto& grid = replay.grid;
+  const auto& eval = replay.eval;
 
   core::SweepOptions options;
   options.jobs = 1;

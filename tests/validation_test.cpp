@@ -5,8 +5,8 @@
 
 #include "common/strings.hpp"
 #include "core/clara.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "workload/tracegen.hpp"
 
@@ -17,29 +17,17 @@ workload::Trace make_trace(const std::string& spec) {
   return workload::generate_trace(workload::parse_profile(spec).value());
 }
 
-nicsim::MemLevel level_of(const lnic::NicProfile& profile, NodeId region) {
-  switch (profile.graph.node(region).memory()->kind) {
-    case lnic::MemKind::kLocal: return nicsim::MemLevel::kLocal;
-    case lnic::MemKind::kCtm: return nicsim::MemLevel::kCtm;
-    case lnic::MemKind::kImem: return nicsim::MemLevel::kImem;
-    case lnic::MemKind::kEmem: return nicsim::MemLevel::kEmem;
-  }
-  return nicsim::MemLevel::kEmem;
-}
-
 TEST(Validation, WorstCaseBoundsNatTail) {
   const auto trace = make_trace("tcp=0.8 flows=50000 zipf=0.2 payload=300:1400 pps=60000 packets=30000");
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
-  const auto analysis = analyzer.analyze(nf::build_nat_nf(), trace);
+  const auto nat = nf::build_nat_nf();
+  const auto analysis = analyzer.analyze(nat, trace);
   ASSERT_TRUE(analysis.ok()) << analysis.error().message;
   const auto& pred = analysis.value().prediction;
   EXPECT_GT(pred.worst_case_cycles, pred.mean_latency_cycles);
 
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64,
-                                 level_of(analyzer.profile(), analysis.value().mapping.state_region[0]));
-  nf::NatProgram ported(table, true);
-  const auto stats = sim.run(ported, trace);
+  const auto placement = nf::placement_of(analyzer.profile(), analysis.value().mapping.state_region);
+  const auto stats = nf::simulate("nat", nat, placement, trace).value();
   // The WCET-style bound must dominate the simulator's p99.
   EXPECT_GE(pred.worst_case_cycles, stats.p99_latency())
       << "worst-case " << pred.worst_case_cycles << " vs sim p99 " << stats.p99_latency();
@@ -50,14 +38,11 @@ TEST(Validation, WorstCaseBoundsNatTail) {
 TEST(Validation, WorstCaseBoundsLpmTail) {
   const auto trace = make_trace("flows=20000 zipf=0.8 payload=300 pps=60000 packets=20000");
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
-  const auto analysis =
-      analyzer.analyze(nf::build_lpm_nf({.rules = 10000, .use_flow_cache = true}), trace);
+  const auto lpm = nf::build_lpm_nf({.rules = 10000, .use_flow_cache = true});
+  const auto analysis = analyzer.analyze(lpm, trace);
   ASSERT_TRUE(analysis.ok());
 
-  nicsim::NicSim sim;
-  auto& lpm = sim.create_lpm("routes", 10000, 4096);
-  nf::LpmProgram ported(lpm, true);
-  const auto stats = sim.run(ported, trace);
+  const auto stats = nf::simulate("lpm", lpm, {}, trace).value();
   // Worst case = flow-cache miss + deepest walk; must cover sim p99.
   EXPECT_GE(analysis.value().prediction.worst_case_cycles, stats.p99_latency());
 }
@@ -70,12 +55,11 @@ TEST(Validation, ThroughputPredictionMatchesSaturation) {
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
   core::AnalyzeOptions options;
   options.map.pps = 60'000;  // map for a feasible rate; predict capacity
-  const auto analysis = analyzer.analyze(nf::build_dpi_nf(), trace, options);
+  const auto dpi = nf::build_dpi_nf();
+  const auto analysis = analyzer.analyze(dpi, trace, options);
   ASSERT_TRUE(analysis.ok()) << analysis.error().message;
 
-  nicsim::NicSim sim;
-  nf::DpiProgram ported;
-  const auto stats = sim.run(ported, trace);
+  const auto stats = nf::simulate("dpi", dpi, {}, trace).value();
   ASSERT_GT(stats.drops, 0u);  // genuinely saturated
   const double predicted = analysis.value().prediction.throughput_pps;
   EXPECT_GT(predicted, stats.achieved_pps / 2.0)
@@ -91,47 +75,16 @@ TEST_P(CorpusAccuracy, MeanLatencyWithin25Percent) {
   // standard workload (the headline NFs have tighter dedicated tests).
   const auto trace = make_trace("tcp=0.8 flows=5000 payload=400 pps=60000 packets=15000");
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
-
-  cir::Function fn;
-  std::unique_ptr<nicsim::NicProgram> program;
-  nicsim::NicSim sim;
-  switch (GetParam()) {
-    case 0: {
-      fn = nf::build_hh_nf();
-      auto& counters = sim.create_table("counters", 16384, 32, nicsim::MemLevel::kImem);
-      program = std::make_unique<nf::HhProgram>(counters);
-      break;
-    }
-    case 1: {
-      fn = nf::build_meter_nf();
-      auto& buckets = sim.create_table("buckets", 4096, 32, nicsim::MemLevel::kCtm);
-      program = std::make_unique<nf::MeterProgram>(buckets);
-      break;
-    }
-    case 2: {
-      fn = nf::build_flowstats_nf();
-      auto& stats_table = sim.create_table("stats", 16384, 32, nicsim::MemLevel::kImem);
-      program = std::make_unique<nf::FlowStatsProgram>(stats_table);
-      break;
-    }
-    case 3: {
-      fn = nf::build_rewrite_nf();
-      program = std::make_unique<nf::RewriteProgram>();
-      break;
-    }
-    default: {
-      fn = nf::build_dpi_nf();
-      program = std::make_unique<nf::DpiProgram>();
-      break;
-    }
-  }
+  const char* const kNfs[] = {"heavy-hitter", "meter", "flow-stats", "rewrite", "dpi"};
+  const nf::CatalogEntry* entry = nf::find_nf(kNfs[GetParam()]);
+  ASSERT_NE(entry, nullptr);
+  const auto fn = entry->build();
 
   auto analysis = analyzer.analyze(fn, trace);
   ASSERT_TRUE(analysis.ok()) << fn.name << ": " << analysis.error().message;
-  // Align the simulator's table placements with Clara's mapping where
-  // the dedicated construction above guessed differently is unnecessary:
-  // these NFs' states are small enough that both sides use fast memory.
-  const auto stats = sim.run(*program, trace);
+  // The catalog's fixed placements, not the mapping's: these NFs' states
+  // are small enough that both sides use fast memory.
+  const auto stats = nf::simulate(entry->name, fn, entry->placement, trace).value();
   const double err = std::abs(analysis.value().prediction.mean_latency_cycles - stats.mean_latency()) /
                      stats.mean_latency();
   EXPECT_LT(err, 0.25) << fn.name << ": predicted " << analysis.value().prediction.mean_latency_cycles
@@ -146,12 +99,11 @@ TEST_P(PayloadSweepAccuracy, DpiTracksPayload) {
   const int payload = GetParam();
   const auto trace = make_trace(strf("payload=%d pps=60000 packets=8000", payload));
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
-  const auto analysis = analyzer.analyze(nf::build_dpi_nf(), trace);
+  const auto dpi = nf::build_dpi_nf();
+  const auto analysis = analyzer.analyze(dpi, trace);
   ASSERT_TRUE(analysis.ok());
 
-  nicsim::NicSim sim;
-  nf::DpiProgram ported;
-  const auto stats = sim.run(ported, trace);
+  const auto stats = nf::simulate("dpi", dpi, {}, trace).value();
   const double err = std::abs(analysis.value().prediction.mean_latency_cycles - stats.mean_latency()) /
                      stats.mean_latency();
   EXPECT_LT(err, 0.15) << payload << "B";

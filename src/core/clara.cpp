@@ -23,16 +23,14 @@ Error dump_on_failure(Error error) {
   return error;
 }
 
-}  // namespace
-
-Analyzer::Analyzer(lnic::NicProfile profile)
-    : profile_(std::move(profile)), profile_hash_(hash_profile(profile_)) {}
-
-Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trace& trace,
-                                   const AnalyzeOptions& options) const {
-  CLARA_TRACE_SCOPE("core/analyze");
+/// The pipeline analyze() and repair() share: lowering and the dataflow
+/// graph, each served from the analysis cache when its key matches, then
+/// `map_step(mapper, graph, hints, map_options, gkey)` — the one stage
+/// where the two differ — then prediction and the porting report.
+template <typename MapStep>
+Result<Analysis> run_pipeline(const Analyzer& analyzer, const cir::Function& nf, const workload::Trace& trace,
+                              const AnalyzeOptions& options, bool use_cache, MapStep map_step) {
   auto& cache = analysis_cache();
-  const bool use_cache = options.use_cache && cache.enabled();
 
   // Stage 1: lowering (substitution -> patterns -> optimize -> verify).
   // Cached on the *input* function's content plus the stage toggles.
@@ -81,12 +79,15 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trac
 
   // Stage 2: dataflow graph. Keyed on the *lowered* function's hash so
   // holders of a lowered function (the load-sweep driver) can address
-  // the same entry without re-running stage 1.
-  const passes::CostHints hints = hints_from_trace(trace, profile_);
+  // the same entry without re-running stage 1, and on the profile's
+  // hash (offline/derate state included) so a faulted profile never
+  // aliases the healthy profile's entry.
+  const lnic::NicProfile& profile = analyzer.profile();
+  const passes::CostHints hints = hints_from_trace(trace, profile);
   std::uint64_t gkey = 0;
   std::shared_ptr<const GraphEntry> graph_entry;
   if (use_cache) {
-    gkey = graph_key(lowered->lowered_hash, hash_hints(hints), profile_hash_);
+    gkey = graph_key(lowered->lowered_hash, hash_hints(hints), analyzer.profile_hash());
     graph_entry = cache.find_graph(gkey);
   }
   if (!graph_entry) {
@@ -103,127 +104,11 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trac
     map_options.pps = trace.profile.pps;
   }
 
-  // Stage 3: the mapping solve — the expensive stage the cache exists
-  // for. A hit skips the ILP entirely; a miss within a known model
-  // family (same model, different time budget) warm-starts the root
-  // relaxation from the family's last recorded basis.
-  const mapping::Mapper mapper(profile_);
-  std::uint64_t mkey = 0;
-  std::uint64_t family = 0;
-  std::shared_ptr<const MappingEntry> mapping_entry;
-  if (use_cache) {
-    mkey = mapping_key(gkey, map_options, options.stages.ilp(), &family);
-    mapping_entry = cache.find_mapping(mkey);
-  }
-  if (!mapping_entry) {
-    mapping::MapOptions solve_options = map_options;
-    if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
-      solve_options.warm_basis = cache.family_basis(family);
-    }
-    auto mapped = options.stages.ilp() ? mapper.map(graph, hints, solve_options)
-                                       : mapper.map_greedy(graph, hints, solve_options);
-    if (!mapped) return dump_on_failure(mapped.error());
-    auto entry = std::make_shared<MappingEntry>();
-    entry->mapping = std::move(mapped).value();
-    if (use_cache) cache.insert_mapping(mkey, family, entry);
-    mapping_entry = std::move(entry);
-  }
-  analysis.mapping = mapping_entry->mapping;
-  analysis.degraded = analysis.mapping.degraded;
-
-  auto prediction = predict(analysis.lowered, graph, analysis.mapping, mapper, trace, options.predict);
-  if (!prediction) return dump_on_failure(prediction.error());
-  analysis.prediction = std::move(prediction).value();
-
-  analysis.report = mapping::describe_mapping(analysis.mapping, graph, mapper, analysis.lowered);
-  return analysis;
-}
-
-Result<Analysis> Analyzer::repair(const cir::Function& nf, const workload::Trace& trace,
-                                  const Analysis& previous, const AnalyzeOptions& options) const {
-  CLARA_TRACE_SCOPE("core/repair");
-  auto& cache = analysis_cache();
-  const bool use_cache = options.use_cache && cache.enabled();
-
-  // Lowering: identical to analyze() — the key depends only on the input
-  // NF and the stage toggles, so when the healthy analysis just ran this
-  // is a warm hit and no work repeats.
-  std::uint64_t lkey = 0;
-  std::shared_ptr<const LoweredEntry> lowered;
-  if (use_cache) {
-    lkey = lowered_key(cir::hash_function(nf), options.stages.patterns(), options.stages.optimize());
-    lowered = cache.find_lowered(lkey);
-  }
-  if (!lowered) {
-    auto entry = std::make_shared<LoweredEntry>();
-    entry->fn = nf;
-    entry->substitution = passes::substitute_framework_apis(entry->fn);
-    if (options.stages.patterns()) {
-      entry->patterns = passes::collapse_packet_loops(entry->fn);
-    }
-    if (options.stages.optimize()) {
-      entry->optimizations = passes::optimize(entry->fn);
-    }
-    if (auto status = cir::verify(entry->fn); !status) {
-      return dump_on_failure(make_error(
-          ErrorCode::kVerify, "lowered NF failed verification: " + status.error().message));
-    }
-    entry->lowered_hash = cir::hash_function(entry->fn);
-    if (use_cache) cache.insert_lowered(lkey, entry);
-    lowered = std::move(entry);
-  }
-  if (options.fail_on_unknown_calls && !lowered->substitution.unknown_calls.empty()) {
-    std::ostringstream os;
-    os << "unrecognized calls in '" << nf.name << "':";
-    for (const auto& name : lowered->substitution.unknown_calls) os << " " << name;
-    return dump_on_failure(make_error(ErrorCode::kUnknownCall, os.str()));
-  }
-
-  Analysis analysis;
-  analysis.lowered = lowered->fn;
-  analysis.substitution = lowered->substitution;
-  analysis.patterns = lowered->patterns;
-  analysis.optimizations = lowered->optimizations;
-
-  // Graph: keyed on the faulted profile's hash (offline/derate state is
-  // mixed into hash_profile), so a degraded profile never aliases the
-  // healthy profile's entry.
-  const passes::CostHints hints = hints_from_trace(trace, profile_);
-  std::uint64_t gkey = 0;
-  std::shared_ptr<const GraphEntry> graph_entry;
-  if (use_cache) {
-    gkey = graph_key(lowered->lowered_hash, hash_hints(hints), profile_hash_);
-    graph_entry = cache.find_graph(gkey);
-  }
-  if (!graph_entry) {
-    auto entry = std::make_shared<GraphEntry>();
-    entry->lowered = lowered;
-    entry->graph = passes::DataflowGraph::build(entry->lowered->fn, hints);
-    if (use_cache) cache.insert_graph(gkey, entry);
-    graph_entry = std::move(entry);
-  }
-  const passes::DataflowGraph& graph = graph_entry->graph;
-
-  mapping::MapOptions map_options = options.map;
-  if (map_options.pps == mapping::MapOptions{}.pps && trace.profile.pps > 0.0) {
-    map_options.pps = trace.profile.pps;
-  }
-
-  // Incremental repair instead of a cold solve. The reduced model still
-  // warm-starts from the model family's recorded basis when one exists.
-  // The result is deliberately NOT inserted into the mapping cache.
-  const mapping::Mapper mapper(profile_);
-  mapping::MapOptions solve_options = map_options;
-  if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
-    std::uint64_t family = 0;
-    (void)mapping_key(gkey, map_options, options.stages.ilp(), &family);
-    solve_options.warm_basis = cache.family_basis(family);
-  }
-  auto repaired = options.stages.ilp() ? mapper.repair(graph, hints, previous.mapping, solve_options)
-                                       : mapper.map_greedy(graph, hints, solve_options);
-  if (!repaired) return dump_on_failure(repaired.error());
-  analysis.mapping = std::move(repaired).value();
-  if (!options.stages.ilp()) analysis.mapping.repaired = true;  // greedy re-solve is still a repair
+  // Stage 3: the mapping.
+  const mapping::Mapper mapper(profile);
+  Result<mapping::Mapping> mapped = map_step(mapper, graph, hints, map_options, gkey);
+  if (!mapped) return dump_on_failure(mapped.error());
+  analysis.mapping = std::move(mapped).value();
   analysis.degraded = analysis.mapping.degraded;
   analysis.repaired = analysis.mapping.repaired;
 
@@ -233,6 +118,71 @@ Result<Analysis> Analyzer::repair(const cir::Function& nf, const workload::Trace
 
   analysis.report = mapping::describe_mapping(analysis.mapping, graph, mapper, analysis.lowered);
   return analysis;
+}
+
+}  // namespace
+
+Analyzer::Analyzer(lnic::NicProfile profile)
+    : profile_(std::move(profile)), profile_hash_(hash_profile(profile_)) {}
+
+Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trace& trace,
+                                   const AnalyzeOptions& options) const {
+  CLARA_TRACE_SCOPE("core/analyze");
+  auto& cache = analysis_cache();
+  const bool use_cache = options.use_cache && cache.enabled();
+
+  // The mapping solve is the expensive stage the cache exists for. A hit
+  // skips the ILP entirely; a miss within a known model family (same
+  // model, different time budget) warm-starts the root relaxation from
+  // the family's last recorded basis.
+  return run_pipeline(
+      *this, nf, trace, options, use_cache,
+      [&](const mapping::Mapper& mapper, const passes::DataflowGraph& graph, const passes::CostHints& hints,
+          const mapping::MapOptions& map_options, std::uint64_t gkey) -> Result<mapping::Mapping> {
+        std::uint64_t mkey = 0;
+        std::uint64_t family = 0;
+        if (use_cache) {
+          mkey = mapping_key(gkey, map_options, options.stages.ilp(), &family);
+          if (auto hit = cache.find_mapping(mkey)) return hit->mapping;
+        }
+        mapping::MapOptions solve_options = map_options;
+        if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
+          solve_options.warm_basis = cache.family_basis(family);
+        }
+        auto mapped = options.stages.ilp() ? mapper.map(graph, hints, solve_options)
+                                           : mapper.map_greedy(graph, hints, solve_options);
+        if (!mapped) return mapped.error();
+        auto entry = std::make_shared<MappingEntry>();
+        entry->mapping = std::move(mapped).value();
+        if (use_cache) cache.insert_mapping(mkey, family, entry);
+        return entry->mapping;
+      });
+}
+
+Result<Analysis> Analyzer::repair(const cir::Function& nf, const workload::Trace& trace,
+                                  const Analysis& previous, const AnalyzeOptions& options) const {
+  CLARA_TRACE_SCOPE("core/repair");
+  auto& cache = analysis_cache();
+  const bool use_cache = options.use_cache && cache.enabled();
+
+  // Incremental repair instead of a cold solve. The pinned model still
+  // warm-starts from the model family's recorded basis when one exists.
+  // The result is deliberately NOT inserted into the mapping cache.
+  return run_pipeline(
+      *this, nf, trace, options, use_cache,
+      [&](const mapping::Mapper& mapper, const passes::DataflowGraph& graph, const passes::CostHints& hints,
+          const mapping::MapOptions& map_options, std::uint64_t gkey) -> Result<mapping::Mapping> {
+        mapping::MapOptions solve_options = map_options;
+        if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
+          std::uint64_t family = 0;
+          (void)mapping_key(gkey, map_options, options.stages.ilp(), &family);
+          solve_options.warm_basis = cache.family_basis(family);
+        }
+        if (options.stages.ilp()) return mapper.repair(graph, hints, previous.mapping, solve_options);
+        auto greedy = mapper.map_greedy(graph, hints, solve_options);
+        if (greedy) greedy.value().repaired = true;  // greedy re-solve is still a repair
+        return greedy;
+      });
 }
 
 namespace {

@@ -42,6 +42,13 @@ struct NodeOrder {
 /// concurrency setting.
 constexpr std::size_t kWaveWidth = 16;
 
+/// Sibling nodes batched per pool task when a wave's relaxations run
+/// concurrently. Node LPs are short (tens of microseconds warm), so one
+/// task per node spends a visible fraction of the wave on submit/steal
+/// overhead; batching amortizes it. Purely a scheduling choice: results
+/// are applied in pop order regardless.
+constexpr std::size_t kWaveGrain = 4;
+
 struct WaveResult {
   Solution relax;
   bool solved = false;
@@ -162,7 +169,7 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
           results[i].relax = solve_lp(model, lp_options);
           results[i].solved = true;
         },
-        std::max<std::size_t>(1, options.wave_grain));
+        kWaveGrain);
     // The wave barrier just completed: every relaxation is done and the
     // caller waited for the slowest one. Per-wave wall time is the
     // barrier-wait figure `clara profile` and the wave histogram report.

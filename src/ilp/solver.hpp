@@ -33,21 +33,10 @@ struct SolveOptions {
   /// by dual simplex, but may steer a degenerate LP to a different
   /// optimal vertex.
   std::vector<std::size_t> warm_basis;
-  /// Sibling nodes batched per pool task when a wave's relaxations run
-  /// concurrently. Node LPs are short (tens of microseconds warm), so
-  /// one task per node spends a visible fraction of the wave on
-  /// submit/steal overhead; batching amortizes it. Purely a scheduling
-  /// knob: results are applied in pop order regardless, so the returned
-  /// Solution is bit-identical at every grain.
-  std::size_t wave_grain = 4;
   /// Simplex engine for every relaxation (see LpAlgorithm): kRevised
   /// unless a test pins the dense reference engine.
   LpAlgorithm algorithm = LpAlgorithm::kRevised;
 };
-
-/// Deprecated spelling from before deadlines existed; new code should
-/// say SolveOptions.
-using MilpOptions = SolveOptions;
 
 /// Index of the integer variable whose fractional part is closest to
 /// one half (the classic most-fractional branching rule), or -1 when

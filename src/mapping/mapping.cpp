@@ -166,22 +166,89 @@ std::vector<PoolSignature> pool_signatures(const std::vector<UnitPool>& pools) {
 
 }  // namespace
 
-Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, const MapOptions& options) const {
-  CLARA_TRACE_SCOPE("mapping/map");
+struct Mapper::Placement {
+  ilp::Model model;
+  std::vector<NodeId> regions;     // state_regions(), indexed by y's second subscript
+  std::vector<int> pinned_pool;    // per node: pool index, -1 = free
+  std::vector<int> pinned_region;  // per state: index into regions, -1 = free
+  std::vector<std::vector<int>> x;  // x[i][p]: node i on pool p (-1: no variable)
+  std::vector<std::vector<int>> y;  // y[s][r]: state s in region r (-1: no variable)
+
+  /// The assignment the solution selects, pins included. Objective and
+  /// pool signatures are left to the caller.
+  [[nodiscard]] Mapping decode(const ilp::Solution& solution) const {
+    Mapping mapping;
+    mapping.status = solution.status;
+    mapping.ilp_nodes_explored = solution.nodes_explored;
+    mapping.ilp_pivots = solution.pivots;
+    mapping.ilp_incumbents = solution.incumbents;
+    mapping.degraded = solution.degraded;
+    mapping.ilp_basis = solution.basis;
+    mapping.node_pool.assign(x.size(), 0);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (pinned_pool[i] >= 0) mapping.node_pool[i] = static_cast<std::uint32_t>(pinned_pool[i]);
+      for (std::size_t p = 0; p < x[i].size(); ++p) {
+        if (x[i][p] >= 0 && solution.value(x[i][p]) > 0.5) mapping.node_pool[i] = static_cast<std::uint32_t>(p);
+      }
+    }
+    mapping.state_region.assign(y.size(), kInvalidNode);
+    for (std::size_t s = 0; s < y.size(); ++s) {
+      if (pinned_region[s] >= 0) mapping.state_region[s] = regions[pinned_region[s]];
+      for (std::size_t r = 0; r < regions.size(); ++r) {
+        if (y[s][r] >= 0 && solution.value(y[s][r]) > 0.5) mapping.state_region[s] = regions[r];
+      }
+    }
+    return mapping;
+  }
+};
+
+Result<Mapper::Placement> Mapper::build_placement(const DataflowGraph& graph, const CostHints& hints,
+                                                  const MapOptions& options, std::vector<int> pinned_pool,
+                                                  std::vector<int> pinned_region) const {
   const cir::Function& fn = *graph.function();
   const auto& nodes = graph.nodes();
-  const auto regions = state_regions();
   const std::size_t n_states = fn.state_objects.size();
+  Placement placement;
+  placement.regions = state_regions();
+  placement.pinned_pool = std::move(pinned_pool);
+  placement.pinned_region = std::move(pinned_region);
+  placement.x.assign(nodes.size(), std::vector<int>(pools_.size(), -1));
+  placement.y.assign(n_states, std::vector<int>(placement.regions.size(), -1));
+  ilp::Model& model = placement.model;
+  const auto& regions = placement.regions;
+  const auto& pin_pool = placement.pinned_pool;
+  const auto& pin_region = placement.pinned_region;
+  auto& x = placement.x;
+  auto& y = placement.y;
 
-  ilp::Model model;
+  auto usable_bytes = [&](std::size_t r) {
+    const auto* mem = profile_->graph.node(regions[r]).memory();
+    double usable = static_cast<double>(mem->capacity);
+    if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
+    return usable;
+  };
+  auto accesses = [&](std::size_t i, lnic::UnitKind kind, std::size_t s) {
+    return node_state_accesses(nodes[i], kind, static_cast<std::uint32_t>(s), fn);
+  };
+  // False when node i on `pool` accesses state s but cannot reach region r.
+  auto reaches = [&](std::size_t i, const UnitPool& pool, std::size_t s, std::size_t r) {
+    return accesses(i, pool.kind, s) <= 0.0 || access_cycles(pool, regions[r]) < 1e11;
+  };
 
-  // x[i][p]: node i on pool p (only feasible pairs get variables).
-  std::vector<std::vector<int>> x(nodes.size(), std::vector<int>(pools_.size(), -1));
+  // x[i][p]: free node i on pool p (only feasible pairs get variables). A
+  // pool that cannot reach a pinned state the node accesses is a hard
+  // exclusion, as the forbid constraints below make it between free ones.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (pin_pool[i] >= 0) continue;
     ilp::LinExpr assign;
     bool any = false;
     for (std::size_t p = 0; p < pools_.size(); ++p) {
       if (!pool_feasible(nodes[i], pools_[p])) continue;
+      bool reachable = true;
+      for (std::size_t s = 0; s < n_states && reachable; ++s) {
+        if (pin_region[s] >= 0 && !reaches(i, pools_[p], s, pin_region[s])) reachable = false;
+      }
+      if (!reachable) continue;
       x[i][p] = model.add_binary(strf("x_%zu_%zu", i, p));
       assign.add(x[i][p], 1.0);
       any = true;
@@ -193,16 +260,19 @@ Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, 
     model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("assign_node_%zu", i));
   }
 
-  // y[s][r]: state s in region r.
-  std::vector<std::vector<int>> y(n_states, std::vector<int>(regions.size(), -1));
+  // y[s][r]: free state s in region r, when it fits alone and every
+  // pinned accessor can reach the region.
   for (std::size_t s = 0; s < n_states; ++s) {
+    if (pin_region[s] >= 0) continue;
     ilp::LinExpr assign;
     bool any = false;
     for (std::size_t r = 0; r < regions.size(); ++r) {
-      const auto* mem = profile_->graph.node(regions[r]).memory();
-      double usable = static_cast<double>(mem->capacity);
-      if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
-      if (static_cast<double>(fn.state_objects[s].total_bytes()) > usable) continue;  // never fits alone
+      if (static_cast<double>(fn.state_objects[s].total_bytes()) > usable_bytes(r)) continue;  // never fits alone
+      bool reachable = true;
+      for (std::size_t i = 0; i < nodes.size() && reachable; ++i) {
+        if (pin_pool[i] >= 0 && !reaches(i, pools_[pin_pool[i]], s, r)) reachable = false;
+      }
+      if (!reachable) continue;
       y[s][r] = model.add_binary(strf("y_%zu_%zu", s, r));
       assign.add(y[s][r], 1.0);
       any = true;
@@ -215,23 +285,29 @@ Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, 
     model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("assign_state_%zu", s));
   }
 
-  // Γ capacity: states sharing a region must fit together.
+  // Γ capacity: states sharing a region must fit together; pinned bytes
+  // reduce the right-hand side.
   for (std::size_t r = 0; r < regions.size(); ++r) {
-    const auto* mem = profile_->graph.node(regions[r]).memory();
-    double usable = static_cast<double>(mem->capacity);
-    if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
+    double usable = usable_bytes(r);
     ilp::LinExpr used;
     bool any = false;
     for (std::size_t s = 0; s < n_states; ++s) {
+      const auto bytes = static_cast<double>(fn.state_objects[s].total_bytes());
+      if (pin_region[s] == static_cast<int>(r)) usable -= bytes;
       if (y[s][r] < 0) continue;
-      used.add(y[s][r], static_cast<double>(fn.state_objects[s].total_bytes()));
+      used.add(y[s][r], bytes);
       any = true;
     }
     if (any) model.add_constraint(std::move(used), ilp::Sense::kLe, usable, strf("capacity_%zu", r));
   }
 
-  // Π pipeline order: stage(node k) >= stage(node t) along dataflow edges.
+  // Π pipeline order: stage(node from) <= stage(node to) along dataflow
+  // edges. A pinned endpoint's stage moves to the right-hand side; an
+  // edge with both ends pinned held before the fault and is unchanged.
   for (const auto& edge : graph.edges()) {
+    const int from_pin = pin_pool[edge.from];
+    const int to_pin = pin_pool[edge.to];
+    if (from_pin >= 0 && to_pin >= 0) continue;
     ilp::LinExpr diff;
     bool nontrivial = false;
     for (std::size_t p = 0; p < pools_.size(); ++p) {
@@ -240,33 +316,58 @@ Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, 
       if (x[edge.to][p] >= 0) diff.add(x[edge.to][p], -stage);
       if (stage != 0.0) nontrivial = true;
     }
+    double rhs = 0.0;
+    if (from_pin >= 0) rhs -= static_cast<double>(pools_[from_pin].pipeline_stage);
+    if (to_pin >= 0) rhs += static_cast<double>(pools_[to_pin].pipeline_stage);
     if (nontrivial) {
-      model.add_constraint(std::move(diff), ilp::Sense::kLe, 0.0, strf("order_%u_%u", edge.from, edge.to));
+      model.add_constraint(std::move(diff), ilp::Sense::kLe, rhs, strf("order_%u_%u", edge.from, edge.to));
     }
   }
 
-  // Objective: compute costs + linearized state-access costs.
+  // Objective: compute costs, plus a free node's accesses to pinned
+  // states on its x and a pinned node's accesses to free states on y.
   ilp::LinExpr objective;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t p = 0; p < pools_.size(); ++p) {
       if (x[i][p] < 0) continue;
-      objective.add(x[i][p], nodes[i].weight * node_cost_on_pool(nodes[i], pools_[p], fn, hints));
+      double coeff = nodes[i].weight * node_cost_on_pool(nodes[i], pools_[p], fn, hints);
+      for (std::size_t s = 0; s < n_states; ++s) {
+        if (pin_region[s] < 0) continue;
+        const double n = accesses(i, pools_[p].kind, s);
+        if (n > 0.0) coeff += nodes[i].weight * n * access_cycles(pools_[p], regions[pin_region[s]]);
+      }
+      objective.add(x[i][p], coeff);
+    }
+  }
+  for (std::size_t s = 0; s < n_states; ++s) {
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      if (y[s][r] < 0) continue;
+      double coeff = 0.0;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (pin_pool[i] < 0) continue;
+        const auto& pool = pools_[pin_pool[i]];
+        const double n = accesses(i, pool.kind, s);
+        if (n > 0.0) coeff += nodes[i].weight * n * access_cycles(pool, regions[r]);
+      }
+      if (coeff != 0.0) objective.add(y[s][r], coeff);
     }
   }
 
-  // State-access terms: w >= x_sum_by_kind + y - 1 with w continuous; the
-  // positive objective coefficient pins w to the product at optimum.
+  // Free × free state-access terms: w >= x_sum_by_kind + y - 1 with w
+  // continuous; the positive objective coefficient pins w to the product
+  // at optimum.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    // Group feasible pools by kind: the access count depends on the unit
+    // kind, not the specific pool.
+    std::map<lnic::UnitKind, std::vector<std::size_t>> by_kind;
+    for (std::size_t p = 0; p < pools_.size(); ++p) {
+      if (x[i][p] >= 0) by_kind[pools_[p].kind].push_back(p);
+    }
     for (std::size_t s = 0; s < n_states; ++s) {
-      // Group feasible pools by kind: the access count depends on the
-      // unit kind, not the specific pool.
-      std::map<lnic::UnitKind, std::vector<std::size_t>> by_kind;
-      for (std::size_t p = 0; p < pools_.size(); ++p) {
-        if (x[i][p] >= 0) by_kind[pools_[p].kind].push_back(p);
-      }
+      if (pin_region[s] >= 0) continue;
       for (const auto& [kind, pool_idxs] : by_kind) {
-        const double accesses = node_state_accesses(nodes[i], kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses <= 0.0) continue;
+        const double n = accesses(i, kind, s);
+        if (n <= 0.0) continue;
         for (std::size_t r = 0; r < regions.size(); ++r) {
           if (y[s][r] < 0) continue;
           // Representative pool of this kind for latency purposes.
@@ -285,31 +386,47 @@ Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, 
           for (const std::size_t p : pool_idxs) link.add(x[i][p], 1.0);
           link.add(y[s][r], 1.0).add(w, -1.0);
           model.add_constraint(std::move(link), ilp::Sense::kLe, 1.0);
-          objective.add(w, nodes[i].weight * accesses * lat);
+          objective.add(w, nodes[i].weight * n * lat);
         }
       }
     }
   }
 
   // Θ service capacity: per-packet demand on a pool must not exceed its
-  // parallelism budget at the offered rate.
-  const double clock = profile_->params.scalar(lnic::keys::kClockHz);
-  const double budget_per_unit = clock / options.pps;
+  // parallelism budget at the offered rate; pinned demand reduces the
+  // right-hand side.
+  const double budget_per_unit = profile_->params.scalar(lnic::keys::kClockHz) / options.pps;
   for (std::size_t p = 0; p < pools_.size(); ++p) {
+    double pinned_demand = 0.0;
     ilp::LinExpr demand;
     bool any = false;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (x[i][p] < 0) continue;
-      demand.add(x[i][p], nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints));
-      any = true;
+      const bool pinned_here = pin_pool[i] == static_cast<int>(p);
+      if (!pinned_here && x[i][p] < 0) continue;
+      const double cost = nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints);
+      if (pinned_here) {
+        pinned_demand += cost;
+      } else {
+        demand.add(x[i][p], cost);
+        any = true;
+      }
     }
     if (any) {
-      model.add_constraint(std::move(demand), ilp::Sense::kLe, budget_per_unit * pools_[p].parallelism,
-                           strf("theta_%zu", p));
+      model.add_constraint(std::move(demand), ilp::Sense::kLe,
+                           budget_per_unit * pools_[p].parallelism - pinned_demand, strf("theta_%zu", p));
     }
   }
 
   model.set_objective(std::move(objective));
+  return placement;
+}
+
+Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, const MapOptions& options) const {
+  CLARA_TRACE_SCOPE("mapping/map");
+  auto placement = build_placement(graph, hints, options, std::vector<int>(graph.nodes().size(), -1),
+                                   std::vector<int>(graph.function()->state_objects.size(), -1));
+  if (!placement) return placement.error();
+  const ilp::Model& model = placement.value().model;
 
   const ilp::SolveOptions solve_options = options.to_solve_options();
   obs::metrics().gauge("mapping/ilp_variables").set(static_cast<double>(model.num_vars()));
@@ -336,27 +453,9 @@ Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, 
     return make_error(ErrorCode::kInternal, "mapping ILP unbounded (model bug)");
   }
 
-  Mapping mapping;
-  mapping.status = solution.status;
-  mapping.ilp_nodes_explored = solution.nodes_explored;
-  mapping.ilp_pivots = solution.pivots;
-  mapping.ilp_incumbents = solution.incumbents;
-  mapping.degraded = solution.degraded;
-  mapping.ilp_basis = solution.basis;
+  Mapping mapping = placement.value().decode(solution);
   mapping.objective = solution.objective;
   obs::metrics().gauge("mapping/objective_cycles").set(solution.objective);
-  mapping.node_pool.assign(nodes.size(), 0);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (x[i][p] >= 0 && solution.value(x[i][p]) > 0.5) mapping.node_pool[i] = static_cast<std::uint32_t>(p);
-    }
-  }
-  mapping.state_region.assign(n_states, kInvalidNode);
-  for (std::size_t s = 0; s < n_states; ++s) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (y[s][r] >= 0 && solution.value(y[s][r]) > 0.5) mapping.state_region[s] = regions[r];
-    }
-  }
   mapping.pool_sig = pool_signatures(pools_);
   return mapping;
 }
@@ -486,8 +585,7 @@ Result<Mapping> Mapper::repair(const DataflowGraph& graph, const CostHints& hint
   // Displacement, phase 2: a derated pool may no longer carry its pinned
   // demand under Θ — free every node of an over-committed pool and let
   // the solve spread them.
-  const double clock = profile_->params.scalar(lnic::keys::kClockHz);
-  const double budget_per_unit = clock / options.pps;
+  const double budget_per_unit = profile_->params.scalar(lnic::keys::kClockHz) / options.pps;
   for (std::size_t p = 0; p < pools_.size(); ++p) {
     double demand = 0.0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -505,25 +603,18 @@ Result<Mapping> Mapper::repair(const DataflowGraph& graph, const CostHints& hint
   // stable across faults, so membership in state_regions() decides).
   std::vector<int> pinned_region(n_states, -1);  // index into `regions`
   for (std::size_t s = 0; s < n_states; ++s) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (regions[r] == previous.state_region[s]) {
-        pinned_region[s] = static_cast<int>(r);
-        break;
-      }
-    }
+    const auto it = std::find(regions.begin(), regions.end(), previous.state_region[s]);
+    if (it != regions.end()) pinned_region[s] = static_cast<int>(it - regions.begin());
   }
 
-  std::vector<std::size_t> free_nodes, free_states;
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    if (pinned_pool[i] < 0) free_nodes.push_back(i);
-  for (std::size_t s = 0; s < n_states; ++s)
-    if (pinned_region[s] < 0) free_states.push_back(s);
-  const std::size_t displaced = free_nodes.size();
+  const auto is_free = [](int pin) { return pin < 0; };
+  const auto displaced = static_cast<std::size_t>(std::count_if(pinned_pool.begin(), pinned_pool.end(), is_free));
+  const bool states_displaced = std::any_of(pinned_region.begin(), pinned_region.end(), is_free);
   obs::metrics().gauge("mapping/repair_displaced_nodes").set(static_cast<double>(displaced));
 
   // Final objective is evaluated directly from the assembled assignment
   // (identical to what the full model's objective expresses); the
-  // reduced model only needs the *variable* terms, so pinned-constant
+  // pinned model only needs the *variable* terms, so pinned-constant
   // bookkeeping never leaks into the result.
   auto finalize = [&](Mapping m) {
     double objective = 0.0;
@@ -553,7 +644,7 @@ Result<Mapping> Mapper::repair(const DataflowGraph& graph, const CostHints& hint
     return finalize(std::move(full.value()));
   };
 
-  if (free_nodes.empty() && free_states.empty()) {
+  if (displaced == 0 && !states_displaced) {
     // The fault missed every assignment: re-index onto the faulted
     // profile's pools and refresh the objective (pool composition may
     // have changed NUMA averages).
@@ -562,186 +653,9 @@ Result<Mapping> Mapper::repair(const DataflowGraph& graph, const CostHints& hint
     return finalize(std::move(m));
   }
 
-  // Reduced model: variables only for displaced nodes/states; pinned
-  // assignments enter as objective coefficients and RHS reductions.
-  ilp::Model model;
-
-  std::vector<std::vector<int>> x(nodes.size(), std::vector<int>(pools_.size(), -1));
-  for (const std::size_t i : free_nodes) {
-    ilp::LinExpr assign;
-    bool any = false;
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (!pool_feasible(nodes[i], pools_[p])) continue;
-      // A pool that cannot reach a pinned state this node accesses is a
-      // hard exclusion (the full model forbids the pairing too).
-      bool reachable = true;
-      for (std::size_t s = 0; s < n_states && reachable; ++s) {
-        if (pinned_region[s] < 0) continue;
-        const double accesses = node_state_accesses(nodes[i], pools_[p].kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0 && access_cycles(pools_[p], regions[pinned_region[s]]) >= 1e11) reachable = false;
-      }
-      if (!reachable) continue;
-      x[i][p] = model.add_binary(strf("rx_%zu_%zu", i, p));
-      assign.add(x[i][p], 1.0);
-      any = true;
-    }
-    if (!any) return full_resolve();
-    model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("rassign_node_%zu", i));
-  }
-
-  std::vector<std::vector<int>> y(n_states, std::vector<int>(regions.size(), -1));
-  for (const std::size_t s : free_states) {
-    ilp::LinExpr assign;
-    bool any = false;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      const auto* mem = profile_->graph.node(regions[r]).memory();
-      double usable = static_cast<double>(mem->capacity);
-      if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
-      if (static_cast<double>(fn.state_objects[s].total_bytes()) > usable) continue;
-      // A region some pinned accessor cannot reach is excluded outright.
-      bool reachable = true;
-      for (std::size_t i = 0; i < nodes.size() && reachable; ++i) {
-        if (pinned_pool[i] < 0) continue;
-        const auto& pool = pools_[pinned_pool[i]];
-        const double accesses = node_state_accesses(nodes[i], pool.kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0 && access_cycles(pool, regions[r]) >= 1e11) reachable = false;
-      }
-      if (!reachable) continue;
-      y[s][r] = model.add_binary(strf("ry_%zu_%zu", s, r));
-      assign.add(y[s][r], 1.0);
-      any = true;
-    }
-    if (!any) return full_resolve();
-    model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("rassign_state_%zu", s));
-  }
-
-  // Γ capacity with pinned bytes folded into the RHS.
-  for (std::size_t r = 0; r < regions.size(); ++r) {
-    const auto* mem = profile_->graph.node(regions[r]).memory();
-    double usable = static_cast<double>(mem->capacity);
-    if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
-    for (std::size_t s = 0; s < n_states; ++s) {
-      if (pinned_region[s] == static_cast<int>(r))
-        usable -= static_cast<double>(fn.state_objects[s].total_bytes());
-    }
-    ilp::LinExpr used;
-    bool any = false;
-    for (const std::size_t s : free_states) {
-      if (y[s][r] < 0) continue;
-      used.add(y[s][r], static_cast<double>(fn.state_objects[s].total_bytes()));
-      any = true;
-    }
-    if (any) model.add_constraint(std::move(used), ilp::Sense::kLe, usable, strf("rcapacity_%zu", r));
-  }
-
-  // Π pipeline order; edges with a pinned endpoint become stage bounds.
-  for (const auto& edge : graph.edges()) {
-    const bool from_free = pinned_pool[edge.from] < 0;
-    const bool to_free = pinned_pool[edge.to] < 0;
-    if (!from_free && !to_free) continue;  // held before the fault, both unchanged
-    ilp::LinExpr diff;
-    double rhs = 0.0;
-    bool nontrivial = false;
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      const double stage = pools_[p].pipeline_stage;
-      if (from_free && x[edge.from][p] >= 0) diff.add(x[edge.from][p], stage);
-      if (to_free && x[edge.to][p] >= 0) diff.add(x[edge.to][p], -stage);
-      if (stage != 0.0) nontrivial = true;
-    }
-    if (!from_free) rhs += static_cast<double>(pools_[pinned_pool[edge.from]].pipeline_stage) * -1.0;
-    if (!to_free) rhs += static_cast<double>(pools_[pinned_pool[edge.to]].pipeline_stage);
-    if (nontrivial) {
-      model.add_constraint(std::move(diff), ilp::Sense::kLe, rhs, strf("rorder_%u_%u", edge.from, edge.to));
-    }
-  }
-
-  // Objective over free variables. Displaced-node compute costs plus
-  // their access terms against *pinned* states ride on x directly.
-  ilp::LinExpr objective;
-  for (const std::size_t i : free_nodes) {
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (x[i][p] < 0) continue;
-      double coeff = nodes[i].weight * node_cost_on_pool(nodes[i], pools_[p], fn, hints);
-      for (std::size_t s = 0; s < n_states; ++s) {
-        if (pinned_region[s] < 0) continue;
-        const double accesses = node_state_accesses(nodes[i], pools_[p].kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0) {
-          coeff += nodes[i].weight * accesses * access_cycles(pools_[p], regions[pinned_region[s]]);
-        }
-      }
-      objective.add(x[i][p], coeff);
-    }
-  }
-
-  // Pinned-node access terms against displaced states ride on y.
-  for (const std::size_t s : free_states) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (y[s][r] < 0) continue;
-      double coeff = 0.0;
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (pinned_pool[i] < 0) continue;
-        const auto& pool = pools_[pinned_pool[i]];
-        const double accesses = node_state_accesses(nodes[i], pool.kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0) coeff += nodes[i].weight * accesses * access_cycles(pool, regions[r]);
-      }
-      if (coeff != 0.0) objective.add(y[s][r], coeff);
-    }
-  }
-
-  // Displaced × displaced: the full w-linearization, restricted.
-  for (const std::size_t i : free_nodes) {
-    for (const std::size_t s : free_states) {
-      std::map<lnic::UnitKind, std::vector<std::size_t>> by_kind;
-      for (std::size_t p = 0; p < pools_.size(); ++p) {
-        if (x[i][p] >= 0) by_kind[pools_[p].kind].push_back(p);
-      }
-      for (const auto& [kind, pool_idxs] : by_kind) {
-        const double accesses = node_state_accesses(nodes[i], kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses <= 0.0) continue;
-        for (std::size_t r = 0; r < regions.size(); ++r) {
-          if (y[s][r] < 0) continue;
-          const double lat = access_cycles(pools_[pool_idxs.front()], regions[r]);
-          if (lat >= 1e11) {
-            for (const std::size_t p : pool_idxs) {
-              ilp::LinExpr forbid;
-              forbid.add(x[i][p], 1.0).add(y[s][r], 1.0);
-              model.add_constraint(std::move(forbid), ilp::Sense::kLe, 1.0);
-            }
-            continue;
-          }
-          const int w =
-              model.add_continuous(strf("rw_%zu_%zu_%d_%zu", i, s, static_cast<int>(kind), r), 0.0, 1.0);
-          ilp::LinExpr link;
-          for (const std::size_t p : pool_idxs) link.add(x[i][p], 1.0);
-          link.add(y[s][r], 1.0).add(w, -1.0);
-          model.add_constraint(std::move(link), ilp::Sense::kLe, 1.0);
-          objective.add(w, nodes[i].weight * accesses * lat);
-        }
-      }
-    }
-  }
-
-  // Θ with the pinned demand folded into the RHS.
-  for (std::size_t p = 0; p < pools_.size(); ++p) {
-    double pinned_demand = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (pinned_pool[i] != static_cast<int>(p)) continue;
-      pinned_demand += nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints);
-    }
-    ilp::LinExpr demand;
-    bool any = false;
-    for (const std::size_t i : free_nodes) {
-      if (x[i][p] < 0) continue;
-      demand.add(x[i][p], nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints));
-      any = true;
-    }
-    if (any) {
-      model.add_constraint(std::move(demand), ilp::Sense::kLe,
-                           budget_per_unit * pools_[p].parallelism - pinned_demand, strf("rtheta_%zu", p));
-    }
-  }
-
-  model.set_objective(std::move(objective));
+  auto placement = build_placement(graph, hints, options, std::move(pinned_pool), std::move(pinned_region));
+  if (!placement) return full_resolve();
+  const ilp::Model& model = placement.value().model;
 
   const ilp::SolveOptions solve_options = options.to_solve_options();
   obs::metrics().gauge("mapping/repair_variables").set(static_cast<double>(model.num_vars()));
@@ -759,35 +673,7 @@ Result<Mapping> Mapper::repair(const DataflowGraph& graph, const CostHints& hint
   if (solution.status == ilp::SolveStatus::kUnbounded) {
     return make_error(ErrorCode::kInternal, "repair ILP unbounded (model bug)");
   }
-
-  Mapping mapping;
-  mapping.status = solution.status;
-  mapping.ilp_nodes_explored = solution.nodes_explored;
-  mapping.ilp_pivots = solution.pivots;
-  mapping.ilp_incumbents = solution.incumbents;
-  mapping.degraded = solution.degraded;
-  mapping.ilp_basis = solution.basis;
-  mapping.node_pool.assign(nodes.size(), 0);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (pinned_pool[i] >= 0) {
-      mapping.node_pool[i] = static_cast<std::uint32_t>(pinned_pool[i]);
-      continue;
-    }
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (x[i][p] >= 0 && solution.value(x[i][p]) > 0.5) mapping.node_pool[i] = static_cast<std::uint32_t>(p);
-    }
-  }
-  mapping.state_region.assign(n_states, kInvalidNode);
-  for (std::size_t s = 0; s < n_states; ++s) {
-    if (pinned_region[s] >= 0) {
-      mapping.state_region[s] = regions[pinned_region[s]];
-      continue;
-    }
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (y[s][r] >= 0 && solution.value(y[s][r]) > 0.5) mapping.state_region[s] = regions[r];
-    }
-  }
-  return finalize(std::move(mapping));
+  return finalize(placement.value().decode(solution));
 }
 
 std::string describe_mapping(const Mapping& mapping, const DataflowGraph& graph, const Mapper& mapper,

@@ -137,12 +137,13 @@ class Mapper {
   /// Incremental repair after LNIC resource loss (DESIGN.md §13). This
   /// mapper is built on the *faulted* profile; `previous` is a mapping
   /// produced on the healthy twin. Assignments whose pool/region
-  /// survived the fault are pinned — folded into the MILP as constants
-  /// (objective offsets, Θ/Γ right-hand-side reductions) — and only
-  /// displaced nodes and states get variables, so the re-solve is much
-  /// cheaper than a cold map(). Falls back to a full re-solve when
-  /// pinning makes the model infeasible. The result is always flagged
-  /// Mapping::repaired and counted in the `ilp/repairs` metric.
+  /// survived the fault are pinned in the placement MILP map() solves —
+  /// folded in as constants (objective offsets, Θ/Γ right-hand-side
+  /// reductions) — and only displaced nodes and states get variables,
+  /// so the re-solve is much cheaper than a cold map(). Falls back to a
+  /// full re-solve when pinning makes the model infeasible. The result
+  /// is always flagged Mapping::repaired and counted in the
+  /// `ilp/repairs` metric.
   Result<Mapping> repair(const passes::DataflowGraph& graph, const passes::CostHints& hints,
                          const Mapping& previous, const MapOptions& options = {}) const;
 
@@ -181,6 +182,18 @@ class Mapper {
   [[nodiscard]] std::vector<NodeId> state_regions() const;
 
  private:
+  /// The placement MILP of DESIGN.md §5 and its solution decoder.
+  struct Placement;
+
+  /// Builds the placement MILP with `pinned_pool[i]` (a pool index) and
+  /// `pinned_region[s]` (an index into state_regions()) held fixed; -1
+  /// leaves the node or state to the ILP. With nothing pinned this is
+  /// the cold model map() solves. Errors when a free node has no pool or
+  /// a free state no region it may take.
+  Result<Placement> build_placement(const passes::DataflowGraph& graph, const passes::CostHints& hints,
+                                    const MapOptions& options, std::vector<int> pinned_pool,
+                                    std::vector<int> pinned_region) const;
+
   const lnic::NicProfile* profile_;
   std::vector<UnitPool> pools_;
 };

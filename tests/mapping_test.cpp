@@ -296,5 +296,35 @@ TEST(Mapper, SocHasNoAccelerCsumChoice) {
   }
 }
 
+TEST(Mapper, RepairWithNothingPinnedMatchesColdMap) {
+  // A previous mapping whose pools match no pool of this profile and
+  // whose states sit in no region displaces every node and state, so
+  // repair() solves the same placement MILP map() does: same variables,
+  // same constraints, same branch-and-bound trajectory.
+  CostHints hints;
+  for (const auto& profile : lnic::all_profiles()) {
+    const Mapper mapper(profile);
+    for (const char* name : {"nat", "firewall", "lpm", "vnf-chain", "rewrite"}) {
+      const auto fn = lowered(nf::find_nf(name)->build());
+      const auto graph = DataflowGraph::build(fn, hints);
+      const auto cold = mapper.map(graph, hints);
+      ASSERT_TRUE(cold.ok()) << name << " on " << profile.name << ": " << cold.error().message;
+
+      Mapping previous = cold.value();
+      for (auto& sig : previous.pool_sig) sig.pipeline_stage = 1000;  // no pool has this stage
+      previous.state_region.assign(previous.state_region.size(), kInvalidNode);
+      const auto repaired = mapper.repair(graph, hints, previous);
+      ASSERT_TRUE(repaired.ok()) << name << " on " << profile.name << ": " << repaired.error().message;
+
+      const auto& m = repaired.value();
+      EXPECT_EQ(m.repair_displaced, graph.nodes().size()) << name << " on " << profile.name;
+      EXPECT_EQ(m.node_pool, cold.value().node_pool) << name << " on " << profile.name;
+      EXPECT_EQ(m.state_region, cold.value().state_region) << name << " on " << profile.name;
+      EXPECT_EQ(m.ilp_nodes_explored, cold.value().ilp_nodes_explored) << name << " on " << profile.name;
+      EXPECT_EQ(m.ilp_pivots, cold.value().ilp_pivots) << name << " on " << profile.name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace clara::mapping

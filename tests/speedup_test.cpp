@@ -4,9 +4,9 @@
 // when real cores are available. Auto-skips on starved runners
 // (hardware_concurrency < 4: time-sliced threads can't honor the
 // contract; perf_micro flags such runs `oversubscribed` and benchdiff
-// gates them on regression only) and under ThreadSanitizer or
-// AddressSanitizer (instrumentation distorts the ratio). ctest runs it
-// with RUN_SERIAL so other tests do not compete for the cores it times.
+// gates them on regression only) and in any -DCLARA_SANITIZE build
+// (instrumentation distorts the ratio). ctest runs it with RUN_SERIAL
+// so other tests do not compete for the cores it times.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,22 +17,6 @@
 #include "ilp/instances.hpp"
 #include "ilp/solver.hpp"
 #include "obs/accuracy.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define CLARA_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CLARA_TSAN 1
-#endif
-#endif
-
-#if defined(__SANITIZE_ADDRESS__)
-#define CLARA_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define CLARA_ASAN 1
-#endif
-#endif
 
 namespace clara {
 namespace {
@@ -46,11 +30,8 @@ double ms_since(Clock::time_point t0) {
 constexpr std::size_t kJobs = 4;
 
 bool skip_reason(std::string* why) {
-#if defined(CLARA_TSAN)
-  *why = "ThreadSanitizer build: instrumented synchronization distorts speedup";
-  return true;
-#elif defined(CLARA_ASAN)
-  *why = "AddressSanitizer build: instrumented memory accesses distort speedup";
+#if defined(CLARA_SANITIZER)
+  *why = std::string("-DCLARA_SANITIZE=") + CLARA_SANITIZER + " build: instrumentation distorts speedup";
   return true;
 #else
   if (std::thread::hardware_concurrency() < kJobs) {

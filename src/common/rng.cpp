@@ -1,8 +1,9 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace clara {
 
@@ -75,21 +76,29 @@ double Rng::exponential(double mean) {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
-  assert(n > 0);
+  assert(n > 0 && n <= std::numeric_limits<std::uint32_t>::max());
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    // pow(x, 1) == x and pow(x, 0) == 1 exactly; skip the call there.
+    const auto rank = static_cast<double>(i + 1);
+    const double weight = alpha == 1.0 ? rank : alpha == 0.0 ? 1.0 : std::pow(rank, alpha);
+    total += 1.0 / weight;
     cdf_[i] = total;
   }
   for (auto& v : cdf_) v /= total;
   cdf_.back() = 1.0;  // defend against accumulated rounding
-}
 
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+  // One merged sweep over slices and ranks: linear in n + K.
+  const std::size_t k = std::bit_ceil(n);
+  guide_.resize(k);
+  guide_scale_ = static_cast<double>(k);
+  std::size_t rank = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const double edge = static_cast<double>(j) / guide_scale_;
+    while (cdf_[rank] < edge) ++rank;
+    guide_[j] = static_cast<std::uint32_t>(rank);
+  }
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {

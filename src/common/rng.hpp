@@ -44,7 +44,11 @@ class Rng {
 
 /// Zipf-distributed sampler over ranks {0, 1, ..., n-1} with exponent
 /// `alpha`. Rank 0 is the most popular. Implemented with a precomputed
-/// cumulative table and binary search: O(log n) per sample, exact.
+/// cumulative table and a guide table over it: K = bit_ceil(n) equal
+/// slices of [0, 1), each remembering the first rank whose cumulative
+/// mass reaches the slice's left edge. A draw jumps to its slice's rank
+/// and scans forward, O(1) expected, and answers exactly the rank a
+/// binary search over the cumulative table would.
 ///
 /// Flow popularity in datacenter traces is famously heavy-tailed; the
 /// workload generator uses this to decide which flow each packet belongs
@@ -55,7 +59,18 @@ class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
 
-  std::size_t sample(Rng& rng) const;
+  std::size_t sample(Rng& rng) const { return index_of(rng.next_double()); }
+
+  /// The rank a uniform draw u in [0, 1) maps to: the first rank whose
+  /// cumulative mass is >= u (what std::lower_bound over the cumulative
+  /// table returns).
+  [[nodiscard]] std::size_t index_of(double u) const {
+    // K is a power of two, so u * K and j / K are exact: slice j's left
+    // edge never exceeds u and its guide rank never passes the answer.
+    std::size_t i = guide_[static_cast<std::size_t>(u * guide_scale_)];
+    while (cdf_[i] < u) ++i;
+    return i;
+  }
 
   [[nodiscard]] std::size_t size() const { return cdf_.size(); }
   [[nodiscard]] double alpha() const { return alpha_; }
@@ -65,6 +80,8 @@ class ZipfSampler {
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  // slice j -> first rank with cdf >= j / K
+  double guide_scale_ = 1.0;          // K
   double alpha_;
 };
 

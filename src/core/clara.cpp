@@ -83,7 +83,8 @@ Result<Analysis> run_pipeline(const Analyzer& analyzer, const cir::Function& nf,
   // hash (offline/derate state included) so a faulted profile never
   // aliases the healthy profile's entry.
   const lnic::NicProfile& profile = analyzer.profile();
-  const passes::CostHints hints = hints_from_trace(trace, profile);
+  const workload::FlowStats flows = workload::flow_stats(trace.packets);
+  const passes::CostHints hints = hints_from_trace(trace, flows, profile);
   std::uint64_t gkey = 0;
   std::shared_ptr<const GraphEntry> graph_entry;
   if (use_cache) {
@@ -112,7 +113,7 @@ Result<Analysis> run_pipeline(const Analyzer& analyzer, const cir::Function& nf,
   analysis.degraded = analysis.mapping.degraded;
   analysis.repaired = analysis.mapping.repaired;
 
-  auto prediction = predict(analysis.lowered, graph, analysis.mapping, mapper, trace, options.predict);
+  auto prediction = predict(analysis.lowered, graph, analysis.mapping, mapper, trace, flows, hints, options.predict);
   if (!prediction) return dump_on_failure(prediction.error());
   analysis.prediction = std::move(prediction).value();
 

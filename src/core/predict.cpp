@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "cir/builder.hpp"
 #include "cir/interp.hpp"
 #include "common/strings.hpp"
 #include "obs/trace.hpp"
 #include "passes/costmodel.hpp"
+#include "workload/flowstats.hpp"
 
 namespace clara::core {
 
@@ -39,7 +39,10 @@ struct PacketClass {
   }
 };
 
-std::vector<PacketClass> classify(const workload::Trace& trace, std::size_t buckets) {
+/// Collapses the trace into classes. `first_of_flow` marks each flow's
+/// first packet (workload::FlowStats).
+std::vector<PacketClass> classify(const workload::Trace& trace, const std::vector<bool>& first_of_flow,
+                                  std::size_t buckets) {
   std::uint16_t lo = 0xffff, hi = 0;
   for (const auto& p : trace.packets) {
     lo = std::min(lo, p.payload_len);
@@ -47,10 +50,10 @@ std::vector<PacketClass> classify(const workload::Trace& trace, std::size_t buck
   }
   const double width = hi > lo ? static_cast<double>(hi - lo) / static_cast<double>(buckets) : 1.0;
 
-  std::unordered_set<std::uint32_t> seen_flows;
   std::map<std::uint32_t, PacketClass> classes;
-  for (const auto& p : trace.packets) {
-    const bool new_flow = seen_flows.insert(p.flow_id).second;
+  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
+    const auto& p = trace.packets[i];
+    const bool new_flow = first_of_flow[i];
     auto bucket = static_cast<std::uint32_t>((p.payload_len - lo) / width);
     if (bucket >= buckets) bucket = static_cast<std::uint32_t>(buckets) - 1;
     const std::uint32_t key = p.proto | (p.is_syn() ? 1u << 8 : 0) | (new_flow ? 1u << 9 : 0) | (bucket << 16);
@@ -117,9 +120,14 @@ class ModelHandler final : public cir::VCallHandler {
   const cir::Function& fn_;
 };
 
+double flow_cache_capacity(const lnic::NicProfile& profile) {
+  return profile.params.try_scalar(keys::kFlowCacheCapacity).value_or(0.0);
+}
+
 }  // namespace
 
-CostHints hints_from_trace(const workload::Trace& trace, const lnic::NicProfile& profile) {
+CostHints hints_from_trace(const workload::Trace& trace, const workload::FlowStats& flows,
+                           const lnic::NicProfile& profile) {
   CostHints hints;
   hints.avg_payload = trace.mean_payload();
   hints.params["payload_len"] = hints.avg_payload;
@@ -127,17 +135,16 @@ CostHints hints_from_trace(const workload::Trace& trace, const lnic::NicProfile&
 
   // Flow-cache hit rate: coverage of the top-capacity flows, less one
   // compulsory miss per cached flow.
-  const double capacity = profile.params.try_scalar(keys::kFlowCacheCapacity).value_or(0.0);
+  const double capacity = flow_cache_capacity(profile);
   if (capacity > 0.0 && !trace.packets.empty()) {
-    std::unordered_map<std::uint32_t, std::uint64_t> counts;
-    for (const auto& p : trace.packets) ++counts[p.flow_id];
-    std::vector<std::uint64_t> sorted;
-    sorted.reserve(counts.size());
-    for (const auto& [flow, count] : counts) sorted.push_back(count);
-    std::sort(sorted.rbegin(), sorted.rend());
-    const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), sorted.size());
+    std::vector<std::uint32_t> counts = flows.packets_per_flow;
+    const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), counts.size());
+    if (top < counts.size()) {
+      std::nth_element(counts.begin(), counts.begin() + static_cast<std::ptrdiff_t>(top), counts.end(),
+                       std::greater<>{});
+    }
     std::uint64_t covered = 0;
-    for (std::size_t i = 0; i < top; ++i) covered += sorted[i];
+    for (std::size_t i = 0; i < top; ++i) covered += counts[i];
     const double total = static_cast<double>(trace.packets.size());
     hints.flow_cache_hit_rate = std::max(0.0, (static_cast<double>(covered) - static_cast<double>(top)) / total);
   } else {
@@ -146,14 +153,31 @@ CostHints hints_from_trace(const workload::Trace& trace, const lnic::NicProfile&
   return hints;
 }
 
+CostHints hints_from_trace(const workload::Trace& trace, const lnic::NicProfile& profile) {
+  // Without a flow cache the hints never read the flow statistics.
+  if (flow_cache_capacity(profile) <= 0.0) return hints_from_trace(trace, workload::FlowStats{}, profile);
+  return hints_from_trace(trace, workload::flow_stats(trace.packets), profile);
+}
+
 Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, const mapping::Mapping& mapping,
                            const mapping::Mapper& mapper, const workload::Trace& trace,
                            const PredictOptions& options) {
+  const workload::FlowStats flows = workload::flow_stats(trace.packets);
+  return predict(fn, graph, mapping, mapper, trace, flows, hints_from_trace(trace, flows, mapper.profile()),
+                 options);
+}
+
+Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, const mapping::Mapping& mapping,
+                           const mapping::Mapper& mapper, const workload::Trace& trace,
+                           const workload::FlowStats& flows, const CostHints& hints, const PredictOptions& options) {
   CLARA_TRACE_SCOPE("predict/run");
   if (trace.packets.empty()) return make_error("predict: empty trace");
   const auto& profile = mapper.profile();
   const auto& params = profile.params;
-  const CostHints hints = hints_from_trace(trace, profile);
+  if (options.payload_buckets == 0 || options.payload_buckets > kMaxPayloadBuckets) {
+    return make_error(ErrorCode::kParse, strf("predict: payload_buckets must be in [1, %zu], got %zu",
+                                              kMaxPayloadBuckets, options.payload_buckets));
+  }
 
   // --- EMEM cache hit-rate estimate (working set vs. capacity) ----------
   double emem_ws = options.foreign_cache_pressure_bytes;
@@ -162,7 +186,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
     const auto* mem = profile.graph.node(region).memory();
     if (mem->kind == lnic::MemKind::kEmem) emem_cache_capacity = mem->cache_capacity;
   }
-  const std::uint32_t distinct = trace.distinct_flows();
+  const std::uint32_t distinct = flows.distinct();
   for (std::size_t s = 0; s < fn.state_objects.size(); ++s) {
     const NodeId region = mapping.state_region[s];
     const auto* mem = profile.graph.node(region).memory();
@@ -178,7 +202,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   // 2 kB); they join the contended working set and, when the pool fits
   // in what the state leaves of the cache, tail reads mostly hit.
   const double residency = params.scalar(keys::kCtmPacketResidency);
-  const double avg_frame = trace.mean_payload() + 54.0;
+  const double avg_frame = hints.avg_payload + 54.0;
   const double tail_pool = 1024.0 * 2048.0;
   const bool tails_spill = residency > 0.0 && avg_frame > residency;
   if (tails_spill) emem_ws += tail_pool;
@@ -275,7 +299,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   };
 
   // --- Per-class costing --------------------------------------------------
-  auto classes = classify(trace, options.payload_buckets);
+  auto classes = classify(trace, flows.first_of_flow, options.payload_buckets);
   const double total_packets = static_cast<double>(trace.packets.size());
 
   struct ClassCost {

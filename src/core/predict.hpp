@@ -29,6 +29,7 @@
 #include "common/result.hpp"
 #include "mapping/mapping.hpp"
 #include "obs/breakdown.hpp"
+#include "workload/flowstats.hpp"
 #include "workload/tracegen.hpp"
 
 namespace clara::core {
@@ -74,8 +75,13 @@ struct Prediction {
   obs::BreakdownMeans breakdown;
 };
 
+/// Upper bound on PredictOptions::payload_buckets (a bucket index must
+/// fit the class key's upper bits).
+inline constexpr std::size_t kMaxPayloadBuckets = 1024;
+
 struct PredictOptions {
-  /// Payload-size buckets for class formation.
+  /// Payload-size buckets for class formation, in [1, kMaxPayloadBuckets]
+  /// (predict() rejects anything else).
   std::size_t payload_buckets = 8;
   /// Disables the EMEM cache hit-rate model (every access at full DRAM
   /// latency) — ablation knob.
@@ -97,9 +103,21 @@ Result<Prediction> predict(const cir::Function& fn, const passes::DataflowGraph&
                            const mapping::Mapping& mapping, const mapping::Mapper& mapper,
                            const workload::Trace& trace, const PredictOptions& options = {});
 
+/// predict() for a caller that already holds the trace's flow statistics
+/// and its hints_from_trace() for the mapper's profile (the Analyzer
+/// computes both once per analysis).
+Result<Prediction> predict(const cir::Function& fn, const passes::DataflowGraph& graph,
+                           const mapping::Mapping& mapping, const mapping::Mapper& mapper,
+                           const workload::Trace& trace, const workload::FlowStats& flows,
+                           const passes::CostHints& hints, const PredictOptions& options);
+
 /// Workload-derived hint extraction shared by the mapper and predictor:
 /// average payload, loop-trip parameters, and the flow-cache hit rate
 /// estimated from observed flow popularity vs. cache capacity.
 passes::CostHints hints_from_trace(const workload::Trace& trace, const lnic::NicProfile& profile);
+
+/// hints_from_trace() over flow statistics already computed for `trace`.
+passes::CostHints hints_from_trace(const workload::Trace& trace, const workload::FlowStats& flows,
+                                   const lnic::NicProfile& profile);
 
 }  // namespace clara::core

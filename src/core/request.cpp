@@ -1,6 +1,7 @@
 #include "core/request.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/json.hpp"
@@ -208,8 +209,17 @@ Result<Request> Request::from_json(std::string_view text) {
     if (auto status = check_keys(predict->as_object(), kPredictKeys, "predict"); !status) {
       return status.error();
     }
-    request.options.predict.payload_buckets = static_cast<std::size_t>(predict->number_at(
-        "payload_buckets", static_cast<double>(request.options.predict.payload_buckets)));
+    if (const Json* buckets = predict->get("payload_buckets"); buckets != nullptr) {
+      // Checked before the cast: a double outside size_t's range makes
+      // the conversion undefined, and 0 has no bucket to clamp to.
+      const double value = buckets->as_double(-1.0);
+      if (!buckets->is_number() || !(value >= 1.0 && value <= static_cast<double>(kMaxPayloadBuckets)) ||
+          value != std::floor(value)) {
+        return make_error(ErrorCode::kParse, strf("\"predict.payload_buckets\" must be an integer in [1, %zu]",
+                                                  kMaxPayloadBuckets));
+      }
+      request.options.predict.payload_buckets = static_cast<std::size_t>(value);
+    }
     request.options.predict.model_emem_cache =
         predict->bool_at("model_emem_cache", request.options.predict.model_emem_cache);
     request.options.predict.model_queueing =

@@ -1,5 +1,6 @@
 #include "nicsim/cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace clara::nicsim {
@@ -13,7 +14,6 @@ SetAssocCache::SetAssocCache(Bytes capacity, std::uint32_t line_bytes, std::uint
   const auto total_lines = static_cast<std::uint32_t>(capacity / line_bytes);
   sets_ = total_lines / ways;
   if (sets_ == 0) sets_ = 1;
-  lines_.assign(static_cast<std::size_t>(sets_) * ways_, Line{});
 }
 
 bool SetAssocCache::access(std::uint64_t addr) {
@@ -24,30 +24,30 @@ bool SetAssocCache::access(std::uint64_t addr) {
   // conventional tag bits, so distinct lines never alias).
   const std::uint64_t tag = line_addr;
 
+  if (lines_.empty()) lines_.assign(static_cast<std::size_t>(sets_) * ways_, Line{});
   Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
   Line* victim = base;
   for (std::uint32_t w = 0; w < ways_; ++w) {
     Line& line = base[w];
-    if (line.valid && line.tag == tag) {
+    if (line.valid() && line.tag == tag) {
       line.last_use = clock_;
       ++hits_;
       return true;
     }
-    if (!line.valid) {
+    if (!line.valid()) {
       victim = &line;
-    } else if (victim->valid && line.last_use < victim->last_use) {
+    } else if (victim->valid() && line.last_use < victim->last_use) {
       victim = &line;
     }
   }
   ++misses_;
-  victim->valid = true;
   victim->tag = tag;
   victim->last_use = clock_;
   return false;
 }
 
 void SetAssocCache::flush() {
-  for (auto& line : lines_) line = Line{};
+  std::fill(lines_.begin(), lines_.end(), Line{});
   clock_ = hits_ = misses_ = 0;
 }
 

@@ -11,6 +11,8 @@ namespace clara::nicsim {
 
 /// Exact set-associative cache with true-LRU replacement. Tracks hits
 /// and misses; the simulator charges latencies based on the outcome.
+/// The tag array is allocated on the first access, so a simulator whose
+/// NF never touches the cache does not fill a 3 MiB cache's tags.
 class SetAssocCache {
  public:
   SetAssocCache(Bytes capacity, std::uint32_t line_bytes, std::uint32_t ways);
@@ -32,15 +34,15 @@ class SetAssocCache {
 
  private:
   struct Line {
-    std::uint64_t tag = ~0ULL;
-    std::uint64_t last_use = 0;
-    bool valid = false;
+    std::uint64_t tag = 0;
+    std::uint64_t last_use = 0;  // clock_ at the last touch; 0 = never filled
+    [[nodiscard]] bool valid() const { return last_use != 0; }  // clock_ starts at 1
   };
 
   std::uint32_t line_bytes_;
   std::uint32_t sets_;
   std::uint32_t ways_;
-  std::vector<Line> lines_;  // sets_ * ways_, row-major by set
+  std::vector<Line> lines_;  // sets_ * ways_, row-major by set; empty until the first access
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -59,10 +59,14 @@ std::string prom_labels(const std::string& labels, const std::string& extra = {}
 
 }  // namespace
 
-void LatencyHistogram::observe(double x) {
+void LatencyHistogram::observe(double x) { observe(std::span<const double>(&x, 1)); }
+
+void LatencyHistogram::observe(std::span<const double> xs) {
   std::lock_guard<std::mutex> lock(mu_);
-  acc_.add(x);
-  ++buckets_[bucket_index(x)];
+  for (const double x : xs) {
+    acc_.add(x);
+    ++buckets_[bucket_index(x)];
+  }
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {

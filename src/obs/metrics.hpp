@@ -5,7 +5,8 @@
 //   * Gauge   — last-written double (atomic);
 //   * LatencyHistogram — power-of-two bucketed distribution plus exact
 //     moments via common/stats Accumulator (mutex-protected; observe()
-//     is a short critical section).
+//     is a short critical section, and its span overload feeds a whole
+//     run's samples under one lock).
 //
 // The registry itself is find-or-create under a mutex; returned
 // references stay valid for the registry's lifetime, so hot paths look
@@ -24,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,6 +68,8 @@ class LatencyHistogram {
   static constexpr std::size_t kBuckets = 64;
 
   void observe(double x);
+  /// observe() of each sample in order, under one lock acquisition.
+  void observe(std::span<const double> xs);
   /// Merge another histogram into this one (parallel reduction).
   void merge(const LatencyHistogram& other);
 

@@ -1,16 +1,12 @@
 #include "workload/tracegen.hpp"
 
-#include <set>
-#include <unordered_set>
-
 #include "common/rng.hpp"
+#include "workload/flowstats.hpp"
 
 namespace clara::workload {
 
 std::uint32_t Trace::distinct_flows() const {
-  std::unordered_set<std::uint32_t> seen;
-  for (const auto& p : packets) seen.insert(p.flow_id);
-  return static_cast<std::uint32_t>(seen.size());
+  return flow_stats(packets).distinct();
 }
 
 double Trace::mean_payload() const {

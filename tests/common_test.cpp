@@ -2,15 +2,20 @@
 // strings, tables, Result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
+#include "workload/tracegen.hpp"
 
 namespace clara {
 namespace {
@@ -112,6 +117,100 @@ TEST(Zipf, SingleElement) {
   EXPECT_NEAR(z.pmf(0), 1.0, 1e-12);
 }
 
+/// The cumulative table as the sampler has always defined it (std::pow
+/// at every rank), searched with std::lower_bound: the reference the
+/// guide-table sampler must reproduce exactly.
+struct ZipfReference {
+  std::vector<double> cdf;
+
+  ZipfReference(std::size_t n, double alpha) : cdf(n) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+      cdf[i] = total;
+    }
+    for (auto& v : cdf) v /= total;
+    cdf.back() = 1.0;
+  }
+  [[nodiscard]] std::size_t index_of(double u) const {
+    return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  }
+};
+
+TEST(Zipf, GuidedSampleEqualsBinarySearch) {
+  for (const std::size_t n : {1u, 2u, 7u, 2000u, 20000u}) {
+    for (const double alpha : {0.0, 0.8, 1.0, 1.3}) {
+      const ZipfSampler zipf(n, alpha);
+      const ZipfReference reference(n, alpha);
+      for (const std::uint64_t seed : {1u, 42u, 1009u}) {
+        Rng guided(seed);
+        Rng plain(seed);
+        for (int draw = 0; draw < 100'000; ++draw) {
+          const std::size_t got = zipf.sample(guided);
+          const std::size_t want = reference.index_of(plain.next_double());
+          ASSERT_EQ(got, want) << "n=" << n << " alpha=" << alpha << " seed=" << seed << " draw=" << draw;
+        }
+      }
+    }
+  }
+}
+
+TEST(Zipf, GuidedIndexExactAtSliceEdges) {
+  // Slice j of the guide covers [j/K, (j+1)/K) with K = bit_ceil(n); the
+  // edges and their neighbouring doubles are where an off-by-one in the
+  // slice arithmetic would show.
+  for (const std::size_t n : {1u, 2u, 7u, 2000u, 20000u}) {
+    for (const double alpha : {0.0, 0.8, 1.0, 1.3}) {
+      const ZipfSampler zipf(n, alpha);
+      const ZipfReference reference(n, alpha);
+      const std::size_t k = std::bit_ceil(n);
+      for (std::size_t j = 0; j < k; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(k);
+        for (const double u : {edge, std::nextafter(edge, 1.0), j > 0 ? std::nextafter(edge, 0.0) : edge}) {
+          ASSERT_EQ(zipf.index_of(u), reference.index_of(u)) << "n=" << n << " alpha=" << alpha << " u=" << u;
+        }
+      }
+      const double last = std::nextafter(1.0, 0.0);
+      EXPECT_EQ(zipf.index_of(last), reference.index_of(last));
+      // Every cumulative value is itself a boundary of the search.
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        const double c = reference.cdf[i];
+        for (const double u : {c, std::nextafter(c, 0.0), std::nextafter(c, 1.0)}) {
+          if (u >= 1.0) continue;
+          ASSERT_EQ(zipf.index_of(u), reference.index_of(u)) << "n=" << n << " alpha=" << alpha << " u=" << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(Zipf, GeneratedTraceBytesArePinned) {
+  // FNV-1a over every field of every packet, pinned from the binary-search
+  // sampler: trace generation must not move a single byte.
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"tcp=0.8 flows=10000 payload=300 pps=60000 packets=20000 seed=42", 0x477185ad08e4075bULL},
+      {"tcp=0.8 flows=20000 zipf=0.8 payload=300 pps=60000 packets=20000 seed=7", 0x9d505624e16f55daULL},
+      {"tcp=0.5 flows=1 zipf=1.3 payload=64:1500 packets=3000 seed=3", 0xe08509233af49b9eULL},
+      {"tcp=1.0 flows=2000 zipf=0 payload=200:1400 packets=5000 arrivals=poisson seed=11",
+       0xb804d5e7e79afc96ULL},
+      {"tcp=0.2 flows=7 zipf=1.3 payload=100 pps=1000000 packets=4000 seed=1009", 0xbd3976706ac45bc1ULL},
+      {"tcp=0.8 flows=20000 zipf=1.5 payload=64:256 packets=10000 arrivals=poisson seed=99",
+       0x6d41cc00512d576eULL},
+  };
+  for (const auto& [spec, digest] : pinned) {
+    const auto profile = workload::parse_profile(spec);
+    ASSERT_TRUE(profile.ok()) << spec;
+    const auto trace = workload::generate_trace(profile.value());
+    Fnv1a h;
+    for (const auto& p : trace.packets) {
+      h.mix(std::uint64_t{p.flow_id}).mix(std::uint64_t{p.src_ip}).mix(std::uint64_t{p.dst_ip});
+      h.mix(std::uint64_t{p.src_port}).mix(std::uint64_t{p.dst_port}).mix(std::uint64_t{p.proto});
+      h.mix(std::uint64_t{p.tcp_flags}).mix(std::uint64_t{p.payload_len}).mix(std::uint64_t{p.arrival_ns});
+    }
+    EXPECT_EQ(h.digest(), digest) << spec;
+  }
+}
+
 TEST(Accumulator, BasicMoments) {
   Accumulator acc;
   for (double v : {1.0, 2.0, 3.0, 4.0}) acc.add(v);
@@ -153,6 +252,49 @@ TEST(Accumulator, MergeWithEmpty) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 1u);
   EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
+}
+
+/// Welford exactly as written before the zero fast path.
+struct ReferenceWelford {
+  std::size_t count = 0;
+  double mean = 0.0, m2 = 0.0, sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  void add(double x) {
+    ++count;
+    sum += x;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (x - mean);
+    min = std::min(min, x);
+    max = std::max(max, x);
+  }
+};
+
+TEST(Accumulator, ZeroFastPathIsBitIdentical) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::vector<std::vector<double>> streams = {
+      {0.0, 0.0, -0.0, 0.0, 3.0, 0.0, 7.5, -0.0, 1e-300, 0.0},
+      {-0.0, -0.0, 0.0, 2.0, -2.0, 0.0, 0.0, -0.0, 5.0},  // the mean returns to zero mid-stream
+      {-0.0},
+      {0.0, -0.0, -1.0, 1.0, 0.0, 1e308, 0.0},
+  };
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    Accumulator acc;
+    ReferenceWelford ref;
+    for (std::size_t i = 0; i < streams[s].size(); ++i) {
+      acc.add(streams[s][i]);
+      ref.add(streams[s][i]);
+      const double ref_variance = ref.count > 1 ? ref.m2 / static_cast<double>(ref.count - 1) : 0.0;
+      ASSERT_EQ(acc.count(), ref.count);
+      ASSERT_EQ(bits(acc.mean()), bits(ref.mean)) << "stream " << s << " sample " << i;
+      ASSERT_EQ(bits(acc.variance()), bits(ref_variance)) << "stream " << s << " sample " << i;
+      ASSERT_EQ(bits(acc.sum()), bits(ref.sum)) << "stream " << s << " sample " << i;
+      ASSERT_EQ(bits(acc.min()), bits(ref.min)) << "stream " << s << " sample " << i;
+      ASSERT_EQ(bits(acc.max()), bits(ref.max)) << "stream " << s << " sample " << i;
+    }
+  }
 }
 
 TEST(Series, Percentiles) {

@@ -3,6 +3,13 @@
 // hardware, prediction-accuracy bounds per NF, per-packet-type profiles,
 // ablations, and interference analysis.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "cir/builder.hpp"
 #include "common/strings.hpp"
@@ -10,6 +17,7 @@
 #include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
 #include "nicsim/sim.hpp"
+#include "workload/trace_io.hpp"
 #include "workload/tracegen.hpp"
 
 namespace clara::core {
@@ -294,6 +302,138 @@ TEST(Analyzer, AllNfsAnalyzeOnNetronome) {
       EXPECT_GT(analysis.value().prediction.throughput_pps, 0.0) << fn.name;
     }
   }
+}
+
+// --- Flow statistics on sparse ids -----------------------------------------
+
+/// `trace` with every flow id moved far apart (a bijection, so flows stay
+/// distinct), written out and read back as a capture would be.
+workload::Trace sparse_copy(const workload::Trace& trace) {
+  workload::Trace sparse = trace;
+  const std::uint32_t spread[] = {0xFFFFFFF0u, 7u, 1u << 31};
+  for (auto& p : sparse.packets) {
+    p.flow_id = p.flow_id < 3 ? spread[p.flow_id] : (p.flow_id * 2654435761u) | 0x40000000u;
+  }
+  const std::string path = ::testing::TempDir() + "clara_core_sparse_" + std::to_string(::getpid()) + ".cltr";
+  EXPECT_TRUE(workload::write_trace(sparse, path).ok());
+  auto loaded = workload::read_trace(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(loaded.ok());
+  loaded.value().profile = trace.profile;  // the file keeps packets only
+  return std::move(loaded.value());
+}
+
+/// The flow-cache hit rate as a node-based hash map computes it.
+double reference_flow_cache_hit_rate(const workload::Trace& trace, double capacity) {
+  std::unordered_map<std::uint32_t, std::uint64_t> counts;
+  for (const auto& p : trace.packets) ++counts[p.flow_id];
+  std::vector<std::uint64_t> sorted;
+  for (const auto& [flow, count] : counts) sorted.push_back(count);
+  std::sort(sorted.rbegin(), sorted.rend());
+  const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), sorted.size());
+  std::uint64_t covered = 0;
+  for (std::size_t i = 0; i < top; ++i) covered += sorted[i];
+  return std::max(0.0, (static_cast<double>(covered) - static_cast<double>(top)) /
+                           static_cast<double>(trace.packets.size()));
+}
+
+/// (name, fraction, tcp, syn, new_flow) per packet class, from an
+/// unordered_set of seen flows and an ordered map of class keys.
+using ClassRow = std::tuple<std::string, double, bool, bool, bool>;
+std::vector<ClassRow> reference_classes(const workload::Trace& trace, std::size_t buckets) {
+  std::uint16_t lo = 0xffff, hi = 0;
+  for (const auto& p : trace.packets) {
+    lo = std::min(lo, p.payload_len);
+    hi = std::max(hi, p.payload_len);
+  }
+  const double width = hi > lo ? static_cast<double>(hi - lo) / static_cast<double>(buckets) : 1.0;
+  struct Row {
+    bool tcp = false, syn = false, new_flow = false;
+    std::uint64_t count = 0;
+    double payload_sum = 0.0;
+  };
+  std::unordered_set<std::uint32_t> seen;
+  std::map<std::uint32_t, Row> rows;
+  for (const auto& p : trace.packets) {
+    const bool new_flow = seen.insert(p.flow_id).second;
+    auto bucket = static_cast<std::uint32_t>((p.payload_len - lo) / width);
+    if (bucket >= buckets) bucket = static_cast<std::uint32_t>(buckets) - 1;
+    Row& row = rows[p.proto | (p.is_syn() ? 1u << 8 : 0) | (new_flow ? 1u << 9 : 0) | (bucket << 16)];
+    row.tcp = p.proto == 6;
+    row.syn = p.is_syn();
+    row.new_flow = new_flow;
+    ++row.count;
+    row.payload_sum += p.payload_len;
+  }
+  std::vector<ClassRow> out;
+  for (const auto& [key, row] : rows) {
+    const double payload = row.payload_sum / static_cast<double>(row.count);
+    out.emplace_back(strf("%s%s%s/p%.0f", row.tcp ? "tcp" : "udp", row.syn ? "+syn" : "",
+                          row.new_flow ? "+new" : "", payload),
+                     static_cast<double>(row.count) / static_cast<double>(trace.packets.size()), row.tcp,
+                     row.syn, row.new_flow);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<ClassRow> predicted_classes(const Prediction& prediction) {
+  std::vector<ClassRow> out;
+  for (const auto& c : prediction.classes) out.emplace_back(c.name, c.fraction, c.tcp, c.syn, c.new_flow);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(FlowStatistics, SparseIdsMatchHashMapReference) {
+  Analyzer clara_tool(lnic::netronome_agilio_cx());
+  const auto dense = make_trace("tcp=0.7 flows=3000 zipf=0.9 payload=64:1500 pps=60000 packets=6000 seed=5");
+  const auto sparse = sparse_copy(dense);
+  ASSERT_EQ(sparse.size(), dense.size());
+  const double capacity =
+      clara_tool.profile().params.try_scalar(lnic::keys::kFlowCacheCapacity).value_or(0.0);
+  ASSERT_GT(capacity, 0.0) << "the profile must exercise the flow-cache estimate";
+
+  for (const workload::Trace* trace : {&dense, &sparse}) {
+    EXPECT_EQ(trace->distinct_flows(), dense.distinct_flows());
+    EXPECT_EQ(hints_from_trace(*trace, clara_tool.profile()).flow_cache_hit_rate,
+              reference_flow_cache_hit_rate(*trace, capacity));
+    const auto analysis = clara_tool.analyze(nf::build_nat_nf(), *trace);
+    ASSERT_TRUE(analysis.ok()) << analysis.error().message;
+    EXPECT_EQ(predicted_classes(analysis.value().prediction),
+              reference_classes(*trace, PredictOptions{}.payload_buckets));
+  }
+}
+
+TEST(FlowStatistics, PredictionIgnoresHowFlowsAreNumbered) {
+  // Flow ids only name flows (headers carry the 5-tuple), so renumbering
+  // them must not move a bit of the prediction.
+  Analyzer clara_tool(lnic::netronome_agilio_cx());
+  const auto dense = make_trace("tcp=0.8 flows=4000 zipf=1.1 payload=300 pps=60000 packets=5000 seed=9");
+  const auto sparse = sparse_copy(dense);
+  const auto a = clara_tool.analyze(nf::build_nat_nf(), dense);
+  const auto b = clara_tool.analyze(nf::build_nat_nf(), sparse);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().prediction.mean_latency_cycles, b.value().prediction.mean_latency_cycles);
+  EXPECT_EQ(a.value().prediction.worst_case_cycles, b.value().prediction.worst_case_cycles);
+  EXPECT_EQ(a.value().prediction.emem_cache_hit_rate, b.value().prediction.emem_cache_hit_rate);
+  EXPECT_EQ(a.value().prediction.flow_cache_hit_rate, b.value().prediction.flow_cache_hit_rate);
+  EXPECT_EQ(predicted_classes(a.value().prediction), predicted_classes(b.value().prediction));
+}
+
+TEST(Analyzer, PayloadBucketsOutOfRangeRejected) {
+  Analyzer clara_tool(lnic::netronome_agilio_cx());
+  const auto trace = make_trace("payload=64:1500 pps=60000 packets=500");
+  for (const std::size_t buckets : {std::size_t{0}, kMaxPayloadBuckets + 1}) {
+    AnalyzeOptions options;
+    options.predict.payload_buckets = buckets;
+    const auto analysis = clara_tool.analyze(nf::build_nat_nf(), trace, options);
+    ASSERT_FALSE(analysis.ok()) << buckets;
+    EXPECT_EQ(analysis.error().code, ErrorCode::kParse);
+    EXPECT_NE(analysis.error().message.find("payload_buckets"), std::string::npos);
+  }
+  AnalyzeOptions widest;
+  widest.predict.payload_buckets = kMaxPayloadBuckets;
+  EXPECT_TRUE(clara_tool.analyze(nf::build_nat_nf(), trace, widest).ok());
 }
 
 }  // namespace

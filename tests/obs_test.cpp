@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <mutex>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/clara.hpp"
 #include "nf/catalog.hpp"
@@ -130,6 +132,30 @@ TEST(Metrics, LatencyHistogramMerge) {
   const double p50 = a.percentile(0.5);
   EXPECT_GE(p50, 64.0);
   EXPECT_LE(p50, 128.0);
+}
+
+TEST(Metrics, BatchObserveEqualsPerSampleObserve) {
+  // The simulator feeds a run's latencies under one lock; the histogram
+  // it leaves must be the one per-sample observe() would have built.
+  std::vector<double> samples = {0.0, -0.0, 0.25, 1.0, 1.5, 3.0, 1e9, 0.0, 42.0, 1e-3, 7.0, 65536.0};
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) samples.push_back(rng.exponential(500.0));
+  LatencyHistogram one_by_one, batched;
+  for (const double x : samples) one_by_one.observe(x);
+  batched.observe(std::span<const double>(samples.data(), 5));
+  batched.observe(std::span<const double>(samples).subspan(5));
+  const Accumulator a = one_by_one.moments();
+  const Accumulator b = batched.moments();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(bits(a.mean()), bits(b.mean()));
+  EXPECT_EQ(bits(a.variance()), bits(b.variance()));
+  EXPECT_EQ(bits(a.sum()), bits(b.sum()));
+  EXPECT_EQ(bits(a.min()), bits(b.min()));
+  EXPECT_EQ(bits(a.max()), bits(b.max()));
+  EXPECT_EQ(one_by_one.buckets(), batched.buckets());
+  batched.observe(std::span<const double>{});
+  EXPECT_EQ(batched.count(), samples.size());
 }
 
 TEST(Metrics, ConcurrentHistogramObserve) {

@@ -2,6 +2,9 @@
 //  * printer/parser round trip is the identity on canonical text;
 //  * the optimizer preserves verification and observable behaviour;
 //  * symbolic path enumeration covers every concrete execution.
+// And over randomly generated workload profiles: predicted breakdown
+// components are non-negative, hit rates are probabilities, and packet
+// class fractions sum to one.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,6 +15,7 @@
 #include "cir/verify.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "core/clara.hpp"
 #include "nf/catalog.hpp"
 #include "obs/accuracy.hpp"
 #include "passes/api_subst.hpp"
@@ -209,6 +213,51 @@ TEST(BreakdownInvariant, ComponentChargesSumToMeanLatencyAcrossNfLibrary) {
         << s.scenario.name() << ": predictor charges leak outside the breakdown";
     EXPECT_NEAR(sim_sum, s.simulated_cycles, s.simulated_cycles * 1e-6 + 1e-6)
         << s.scenario.name() << ": simulator charges leak outside the breakdown";
+  }
+}
+
+/// A random workload spanning the axes the predictor reads: skew 0..1.5,
+/// 1..20000 flows, 1..5000 packets, fixed or ranged payloads.
+workload::WorkloadProfile random_profile(Rng& rng) {
+  workload::WorkloadProfile profile;
+  profile.tcp_fraction = static_cast<double>(rng.uniform(0, 10)) / 10.0;
+  profile.flows = static_cast<std::uint32_t>(rng.chance(0.3) ? rng.uniform(1, 8) : rng.uniform(1, 20000));
+  profile.zipf_alpha = static_cast<double>(rng.uniform(0, 15)) / 10.0;
+  profile.packets = rng.chance(0.2) ? rng.uniform(1, 20) : rng.uniform(1, 5000);
+  profile.payload_min = static_cast<std::uint16_t>(rng.uniform(0, 1500));
+  profile.payload_max =
+      rng.chance(0.4) ? profile.payload_min : static_cast<std::uint16_t>(rng.uniform(profile.payload_min, 1500));
+  profile.pps = static_cast<double>(rng.uniform(10'000, 200'000));
+  profile.arrivals = rng.chance(0.5) ? workload::ArrivalProcess::kPoisson : workload::ArrivalProcess::kDeterministic;
+  profile.seed = rng.next_u64();
+  return profile;
+}
+
+TEST(PredictionInvariants, HoldAcrossRandomWorkloadProfiles) {
+  const core::Analyzer analyzer(lnic::netronome_agilio_cx());
+  const auto& nfs = nf::catalog();
+  Rng rng(20201104);
+  for (std::size_t round = 0; round < 3 * nfs.size(); ++round) {
+    const workload::WorkloadProfile profile = random_profile(rng);
+    const auto trace = workload::generate_trace(profile);
+    const cir::Function fn = nfs[round % nfs.size()].build();
+    SCOPED_TRACE(fn.name + " on " + profile.serialize());
+    const auto analysis = analyzer.analyze(fn, trace);
+    ASSERT_TRUE(analysis.ok()) << analysis.error().message;
+    const core::Prediction& p = analysis.value().prediction;
+    for (std::size_t i = 0; i < obs::kComponentCount; ++i) {
+      EXPECT_GE(p.breakdown.cycles[i], 0.0) << obs::component_name(static_cast<obs::Component>(i));
+    }
+    EXPECT_GE(p.emem_cache_hit_rate, 0.0);
+    EXPECT_LE(p.emem_cache_hit_rate, 1.0);
+    EXPECT_GE(p.flow_cache_hit_rate, 0.0);
+    EXPECT_LE(p.flow_cache_hit_rate, 1.0);
+    double fractions = 0.0;
+    for (const auto& cls : p.classes) {
+      EXPECT_GT(cls.fraction, 0.0) << cls.name;
+      fractions += cls.fraction;
+    }
+    EXPECT_NEAR(fractions, 1.0, 1e-9);
   }
 }
 

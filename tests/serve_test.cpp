@@ -461,6 +461,58 @@ TEST(ServeDaemonTest, InlineCirWithDegenerateTablesGetsTypedErrorsAndDaemonStays
   daemon.stop();
 }
 
+TEST(ServeWireTest, PayloadBucketsMustBeAnIntegerInRange) {
+  const std::string line = small_analyze().to_json();
+  const std::string field = "\"payload_buckets\":8";
+  ASSERT_NE(line.find(field), std::string::npos) << line;
+  for (const char* bad : {"0", "-1", "1e30", "2.5", "1025", "\"8\"", "null"}) {
+    std::string hostile = line;
+    hostile.replace(hostile.find(field), field.size(), std::string("\"payload_buckets\":") + bad);
+    const auto parsed = Request::from_json(hostile);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error().code, ErrorCode::kParse) << bad;
+    EXPECT_NE(parsed.error().message.find("payload_buckets"), std::string::npos) << parsed.error().message;
+  }
+  for (const char* good : {"1", "1024", "16.0"}) {
+    std::string edge = line;
+    edge.replace(edge.find(field), field.size(), std::string("\"payload_buckets\":") + good);
+    EXPECT_TRUE(Request::from_json(edge).ok()) << good;
+  }
+}
+
+TEST(ServeDaemonTest, HostilePayloadBucketsGetTypedErrorsAndDaemonStaysUp) {
+  CacheGuard cache;
+  DaemonOptions options;
+  options.socket_path = temp_socket("buckets");
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.start().ok());
+  RawClient raw(options.socket_path);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_FALSE(raw.read_line().empty()) << "no hello";
+
+  Request request = small_analyze();
+  const std::string field = "\"payload_buckets\":8";
+  for (const char* bad : {"0", "-1", "1e30"}) {
+    request.id = std::string("buckets=") + bad;
+    std::string line = request.to_json();
+    line.replace(line.find(field), field.size(), std::string("\"payload_buckets\":") + bad);
+    ASSERT_TRUE(raw.send_bytes(line + "\n"));
+    const std::string reply = raw.read_line();
+    ASSERT_FALSE(reply.empty()) << bad << ": no response";
+    const auto response = Response::from_json(reply);
+    ASSERT_TRUE(response.ok()) << reply;
+    EXPECT_EQ(response.value().id, request.id);
+    EXPECT_FALSE(response.value().ok) << bad;
+    EXPECT_EQ(response.value().error_code, ErrorCode::kParse) << bad;
+  }
+  request.id = "healthy";
+  ASSERT_TRUE(raw.send_bytes(request.to_json() + "\n"));
+  const auto healthy = Response::from_json(raw.read_line());
+  ASSERT_TRUE(healthy.ok());
+  EXPECT_TRUE(healthy.value().ok) << healthy.value().error;
+  daemon.stop();
+}
+
 TEST(ServeServiceTest, HelloKindIsNotServable) {
   Service service(ServiceOptions{0});
   Request hello = small_analyze();

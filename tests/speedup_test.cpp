@@ -1,18 +1,25 @@
 // Multicore-only contract gate (ctest label `perf`): the two parallel
 // substrates tracked in BENCH_perf.json — wave-parallel branch-and-bound
 // and the sharded sweep driver — must actually beat their serial runs
-// when real cores are available. Auto-skips on starved runners
-// (hardware_concurrency < 4: time-sliced threads can't honor the
-// contract; perf_micro flags such runs `oversubscribed` and benchdiff
-// gates them on regression only) and in any -DCLARA_SANITIZE build
-// (instrumentation distorts the ratio). ctest runs it with RUN_SERIAL
-// so other tests do not compete for the cores it times.
+// when real cores are available. On starved runners — spinner
+// calibration finds under 2 cores' worth of throughput for 4 threads,
+// whatever hardware_concurrency reports — a test runs its determinism
+// checks and then skips with the calibration as its reason (time-sliced
+// vCPUs can't honor the contract; perf_micro flags such runs
+// `oversubscribed` and benchdiff gates them on regression only). Any
+// -DCLARA_SANITIZE build skips the tests outright (instrumentation
+// distorts the ratio). ctest runs them with RUN_SERIAL so other tests
+// do not compete for the cores they time.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/parallel.hpp"
+#include "common/stats.hpp"
+#include "common/strings.hpp"
 #include "core/sweep.hpp"
 #include "ilp/instances.hpp"
 #include "ilp/solver.hpp"
@@ -29,17 +36,65 @@ double ms_since(Clock::time_point t0) {
 
 constexpr std::size_t kJobs = 4;
 
+/// A fixed CPU-bound work unit (an LCG chain the compiler cannot fold).
+std::uint64_t spin(std::uint64_t iterations) {
+  std::uint64_t x = 88172645463325252ull;
+  for (std::uint64_t i = 0; i < iterations; ++i) x = x * 6364136223846793005ull + 1442695040888963407ull;
+  return x;
+}
+
+/// Throughput of kJobs concurrent spinners relative to one: the cores
+/// the host actually delivers. Measured once per process, before any
+/// timed leg. A one-second warm-up on all threads comes first: a VM can
+/// run the first second of multi-threaded work on idle vCPUs at a
+/// fraction of its speed. Median of three trials.
+double calibrated_parallelism() {
+  static const double measured = [] {
+    constexpr std::uint64_t kIterations = 20'000'000;  // ~25 ms: long enough to outlast thread wake-up
+    std::atomic<std::uint64_t> sink{0};
+    const auto run_all = [&] {
+      std::vector<std::thread> spinners;
+      for (std::size_t i = 0; i < kJobs; ++i) spinners.emplace_back([&] { sink += spin(kIterations); });
+      for (auto& t : spinners) t.join();
+    };
+    const auto warm = Clock::now();
+    while (ms_since(warm) < 1000.0) run_all();
+    Series ratios;
+    for (int trial = 0; trial < 3; ++trial) {
+      auto t0 = Clock::now();
+      sink += spin(kIterations);
+      const double one = ms_since(t0);
+      t0 = Clock::now();
+      run_all();
+      ratios.add(static_cast<double>(kJobs) * one / ms_since(t0));
+    }
+    return ratios.percentile(0.5);
+  }();
+  return measured;
+}
+
 bool skip_reason(std::string* why) {
 #if defined(CLARA_SANITIZER)
   *why = std::string("-DCLARA_SANITIZE=") + CLARA_SANITIZER + " build: instrumentation distorts speedup";
   return true;
 #else
-  if (std::thread::hardware_concurrency() < kJobs) {
-    *why = "needs >= 4 hardware threads; this runner is oversubscribed";
-    return true;
-  }
+  (void)why;
   return false;
 #endif
+}
+
+/// The timing contract, parallel faster than serial, judged only where
+/// the host delivers the cores for it; elsewhere the test is skipped
+/// (its determinism checks have run by then). Call it last.
+void expect_speedup(double serial_ms, double parallel_ms) {
+  ASSERT_GT(parallel_ms, 0.0);
+  if (const double cores = calibrated_parallelism(); cores < 2.0) {
+    GTEST_SKIP() << strf("calibrated parallelism %.2f < 2 for %zu spinners; this runner is oversubscribed "
+                         "(serial %.2f ms, parallel %.2f ms)",
+                         cores, kJobs, serial_ms, parallel_ms);
+  }
+  EXPECT_GT(serial_ms / parallel_ms, 1.0)
+      << "serial " << serial_ms << " ms vs parallel " << parallel_ms << " ms at jobs=" << kJobs;
 }
 
 class JobsGuard {
@@ -54,6 +109,7 @@ class JobsGuard {
 TEST(Speedup, BranchAndBoundParallelBeatsSerial) {
   std::string why;
   if (skip_reason(&why)) GTEST_SKIP() << why;
+  (void)calibrated_parallelism();  // warm and measure before timing
   JobsGuard guard(kJobs);
 
   const auto model = ilp::make_market_split(20, 3);
@@ -77,14 +133,13 @@ TEST(Speedup, BranchAndBoundParallelBeatsSerial) {
   EXPECT_EQ(serial.values, parallel_run.values);
   EXPECT_EQ(serial.nodes_explored, parallel_run.nodes_explored);
   EXPECT_EQ(serial.pivots, parallel_run.pivots);
-  ASSERT_GT(parallel_ms, 0.0);
-  EXPECT_GT(serial_ms / parallel_ms, 1.0)
-      << "serial " << serial_ms << " ms vs parallel " << parallel_ms << " ms at jobs=" << kJobs;
+  expect_speedup(serial_ms, parallel_ms);
 }
 
 TEST(Speedup, SweepReplayParallelBeatsSerial) {
   std::string why;
   if (skip_reason(&why)) GTEST_SKIP() << why;
+  (void)calibrated_parallelism();  // warm and measure before timing
   JobsGuard guard(kJobs);
 
   const auto replay = obs::sweep_replay();
@@ -107,9 +162,7 @@ TEST(Speedup, SweepReplayParallelBeatsSerial) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].value, parallel_run[i].value) << "point " << i;
   }
-  ASSERT_GT(parallel_ms, 0.0);
-  EXPECT_GT(serial_ms / parallel_ms, 1.0)
-      << "serial " << serial_ms << " ms vs parallel " << parallel_ms << " ms at jobs=" << kJobs;
+  expect_speedup(serial_ms, parallel_ms);
 }
 
 }  // namespace

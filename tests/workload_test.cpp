@@ -1,15 +1,54 @@
 // Tests for workload profiles, trace generation, and trace I/O.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <unordered_map>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "workload/flowstats.hpp"
 #include "workload/profile.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/tracegen.hpp"
 
+// The largest single heap request made while tracking is on: lets a test
+// bound the memory a pass asks for.
+namespace {
+std::atomic<bool> g_track_allocs{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  if (g_track_allocs.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+    while (bytes > seen && !g_largest_alloc.compare_exchange_weak(seen, bytes)) {
+    }
+  }
+  if (void* p = std::malloc(std::max<std::size_t>(bytes, 1))) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC would otherwise pair an inlined free() with the
+// new-expression at the call site and warn of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace clara::workload {
 namespace {
+
+/// flow_stats(packets) and the largest single allocation it made.
+std::pair<FlowStats, std::size_t> flow_stats_tracked(std::span<const PacketMeta> packets) {
+  g_largest_alloc = 0;
+  g_track_allocs = true;
+  FlowStats stats = flow_stats(packets);
+  g_track_allocs = false;
+  return {std::move(stats), g_largest_alloc.load()};
+}
 
 TEST(Profile, ParseDefaults) {
   const auto p = parse_profile("");
@@ -220,6 +259,81 @@ TEST(TraceStats, DistinctFlows) {
   const auto trace = generate_trace(parse_profile("packets=10000 flows=300 zipf=0.5").value());
   EXPECT_LE(trace.distinct_flows(), 300u);
   EXPECT_GT(trace.distinct_flows(), 250u);  // most flows appear
+}
+
+/// A trace whose flow ids span the whole 32-bit range, as a capture
+/// converted by an external tool may number them.
+Trace sparse_id_trace() {
+  const std::uint32_t ids[] = {0xFFFFFFF0u, 7u, 1u << 31, 0xFFFFFFFFu, 0u, 7u, 0xFFFFFFF0u, 1u << 31, 7u, 7u};
+  Trace trace;
+  for (int round = 0; round < 40; ++round) {
+    for (std::size_t i = 0; i < std::size(ids); ++i) {
+      PacketMeta p;
+      p.flow_id = ids[i] ^ (round % 3 == 2 && i == 4 ? 0x1234u * static_cast<std::uint32_t>(round) : 0u);
+      p.src_ip = p.flow_id * 2654435761u;
+      p.dst_ip = 0x0a000001u;
+      p.src_port = static_cast<std::uint16_t>(1024 + (p.flow_id & 0x3ff));
+      p.dst_port = 80;
+      p.proto = (p.flow_id & 1u) != 0 ? 17 : 6;
+      p.payload_len = static_cast<std::uint16_t>(64 + 37 * ((round + i) % 11));
+      p.arrival_ns = static_cast<std::uint64_t>(round * std::size(ids) + i) * 1000;
+      trace.packets.push_back(p);
+    }
+  }
+  return trace;
+}
+
+TEST(FlowStatsTest, SparseIdsMatchHashMapReferenceAfterRoundTrip) {
+  const std::string path = ::testing::TempDir() + "clara_sparse_ids_" + std::to_string(::getpid()) + ".cltr";
+  ASSERT_TRUE(write_trace(sparse_id_trace(), path).ok());
+  const auto loaded = read_trace(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  const Trace& trace = loaded.value();
+
+  std::unordered_map<std::uint32_t, std::uint32_t> counts;
+  std::vector<std::uint32_t> order;  // ids by first appearance
+  std::vector<bool> first;
+  for (const auto& p : trace.packets) {
+    const bool fresh = counts.find(p.flow_id) == counts.end();
+    if (fresh) order.push_back(p.flow_id);
+    first.push_back(fresh);
+    ++counts[p.flow_id];
+  }
+
+  const auto [stats, largest_alloc] = flow_stats_tracked(trace.packets);
+  ASSERT_EQ(stats.distinct(), counts.size());
+  EXPECT_EQ(trace.distinct_flows(), counts.size());
+  EXPECT_EQ(stats.first_of_flow, first);
+  for (std::size_t f = 0; f < order.size(); ++f) {
+    EXPECT_EQ(stats.packets_per_flow[f], counts[order[f]]) << "flow " << order[f];
+  }
+  // The index is sized by the packets, not by the largest id (a direct
+  // array up to 0xFFFFFFFF would be 16 GiB).
+  EXPECT_LE(largest_alloc, 32 * trace.size());
+}
+
+TEST(FlowStatsTest, DenseAndSparseIdsAgree) {
+  const auto trace = generate_trace(parse_profile("packets=5000 flows=3000 zipf=0.9").value());
+  Trace sparse = trace;
+  for (auto& p : sparse.packets) p.flow_id = p.flow_id * 2654435761u | 0x80000000u;  // a bijection
+  const auto [dense_stats, dense_alloc] = flow_stats_tracked(trace.packets);
+  const auto [sparse_stats, sparse_alloc] = flow_stats_tracked(sparse.packets);
+  EXPECT_EQ(dense_stats.packets_per_flow, sparse_stats.packets_per_flow);
+  EXPECT_EQ(dense_stats.first_of_flow, sparse_stats.first_of_flow);
+  EXPECT_LE(dense_alloc, 32 * trace.size());
+  EXPECT_LE(sparse_alloc, 32 * trace.size());
+}
+
+TEST(FlowStatsTest, EmptyAndSingleFlow) {
+  EXPECT_EQ(flow_stats({}).distinct(), 0u);
+  EXPECT_EQ(Trace{}.distinct_flows(), 0u);
+  std::vector<PacketMeta> one(5);
+  for (auto& p : one) p.flow_id = 0xFFFFFFFFu;
+  const FlowStats stats = flow_stats(one);
+  EXPECT_EQ(stats.distinct(), 1u);
+  EXPECT_EQ(stats.packets_per_flow, std::vector<std::uint32_t>{5});
+  EXPECT_EQ(stats.first_of_flow, (std::vector<bool>{true, false, false, false, false}));
 }
 
 }  // namespace

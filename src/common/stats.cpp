@@ -7,23 +7,6 @@
 
 namespace clara {
 
-void Accumulator::add(double x) {
-  ++count_;
-  sum_ += x;
-  if (x == 0.0 && mean_ == 0.0) {
-    // Welford would add ±0 to mean_ and m2_, neither of which is ever -0
-    // (both start at +0 and an exact-zero sum rounds to +0): no change.
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 double Accumulator::variance() const {
   return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }

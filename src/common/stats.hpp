@@ -1,6 +1,7 @@
 // Streaming statistics and histograms for latency series.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -13,7 +14,23 @@ namespace clara {
 /// O(1) memory; used when percentiles are not needed.
 class Accumulator {
  public:
-  void add(double x);
+  /// Inline: the simulator calls it 16 times per packet.
+  void add(double x) {
+    ++count_;
+    sum_ += x;
+    if (x == 0.0 && mean_ == 0.0) {
+      // Welford would add ±0 to mean_ and m2_, neither of which is ever -0
+      // (both start at +0 and an exact-zero sum rounds to +0): no change.
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+      return;
+    }
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }

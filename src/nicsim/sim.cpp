@@ -1,10 +1,8 @@
 #include "nicsim/sim.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <bit>
 #include <deque>
-#include <functional>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -181,20 +179,6 @@ bool NicApi::lpm_lookup(LpmTable& table, std::uint64_t key, bool use_flow_cache)
   return outcome.flow_cache_hit;
 }
 
-void NicApi::lpm_lookup_sw(ExactTable& trie, std::uint64_t key) {
-  // Radix-tree walk: log2(entries) levels, each a dependent access at
-  // the trie's placement plus a few shifts/compares.
-  const double entries = std::max<double>(2.0, static_cast<double>(trie.entries()));
-  const auto depth = static_cast<std::uint32_t>(std::ceil(std::log2(entries)));
-  std::uint64_t addr = trie.base() + (key % trie.entries()) * trie.entry_bytes();
-  for (std::uint32_t level = 0; level < depth; ++level) {
-    compute(4 * sim_.config_.alu_cycles);
-    mem_access(trie.placement(), addr, false);
-    addr = addr * 1103515245ULL + 12345;  // next node (dependent address)
-    addr = trie.base() + addr % (trie.entries() * trie.entry_bytes());
-  }
-}
-
 void NicApi::payload_scan() {
   const NicConfig& cfg = sim_.config_;
   const std::uint32_t len = pkt_->payload_len;
@@ -357,15 +341,14 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
   b.finish.resize(kSimBatch);
   b.dropped.resize(kSimBatch);
 
-  // Earliest-available-thread heap, (free_at, thread) min order with the
-  // same lowest-index tie-break as the linear scan it replaces. Entries
-  // go stale when a thread is rebound; stale tops are discarded lazily
-  // by comparing against thread_free_ (the authoritative value).
-  b.thread_heap.clear();
-  for (std::uint32_t t = 0; t < thread_free_.size(); ++t) {
-    b.thread_heap.emplace_back(thread_free_[t], t);
-  }
-  std::make_heap(b.thread_heap.begin(), b.thread_heap.end(), std::greater<>{});
+  // Thread ring: every thread as (free_at, thread) in ascending order,
+  // so the front is std::min_element's pick, lowest index on ties.
+  const std::size_t threads = thread_free_.size();
+  const std::size_t ring_mask = std::bit_ceil(threads) - 1;
+  b.thread_ring.resize(ring_mask + 1);
+  for (std::uint32_t t = 0; t < threads; ++t) b.thread_ring[t] = {thread_free_[t], t};
+  std::sort(b.thread_ring.begin(), b.thread_ring.begin() + static_cast<std::ptrdiff_t>(threads));
+  b.thread_ring_head = 0;
 
   // In-flight dispatch-time ring (the scalar path's deque, preallocated).
   b.inflight.assign(config_.ingress_queue_capacity + 1, 0);
@@ -420,7 +403,7 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
       // becomes ready. arrival_seq for the fault key was consumed in
       // stage A; recompute it from the block position.
       while (b.inflight_size > 0 && b.inflight[b.inflight_head] <= ready) {
-        b.inflight_head = (b.inflight_head + 1) % ring;
+        if (++b.inflight_head == ring) b.inflight_head = 0;
         --b.inflight_size;
       }
       const std::uint64_t arrival_seq = arrivals_ - n + i;
@@ -432,20 +415,13 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
       }
 
       // Bind to the earliest-available hardware thread (lowest index on
-      // ties, like the linear scan).
-      std::uint32_t thread = 0;
-      while (true) {
-        std::pop_heap(b.thread_heap.begin(), b.thread_heap.end(), std::greater<>{});
-        const auto [free_at, t] = b.thread_heap.back();
-        b.thread_heap.pop_back();
-        if (free_at == thread_free_[t]) {
-          thread = t;
-          break;
-        }
-        // Stale: the thread was rebound since this entry was pushed.
-      }
+      // ties, like the linear scan): the ring's front.
+      const std::uint32_t thread = b.thread_ring[b.thread_ring_head].second;
+      b.thread_ring_head = (b.thread_ring_head + 1) & ring_mask;
       const Cycles start = std::max(ready, thread_free_[thread]);
-      b.inflight[(b.inflight_head + b.inflight_size) % ring] = start;
+      // head and size are both below ring, so one wrap replaces `%`.
+      const std::size_t tail = b.inflight_head + b.inflight_size;
+      b.inflight[tail < ring ? tail : tail - ring] = start;
       ++b.inflight_size;
       stats.queue_wait.add(static_cast<double>(start - ready));
 
@@ -454,8 +430,17 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
       if (!api.done_) api.emit();  // programs that fall off the end emit
 
       thread_free_[thread] = api.now_;
-      b.thread_heap.emplace_back(api.now_, thread);
-      std::push_heap(b.thread_heap.begin(), b.thread_heap.end(), std::greater<>{});
+      // Re-insert the thread at its sorted place: scan back from the
+      // slot its removal freed at the ring's end.
+      const std::pair<Cycles, std::uint32_t> done{api.now_, thread};
+      std::size_t pos = (b.thread_ring_head + threads - 1) & ring_mask;
+      while (pos != b.thread_ring_head) {
+        const std::size_t prev = (pos - 1) & ring_mask;
+        if (!(done < b.thread_ring[prev])) break;
+        b.thread_ring[pos] = b.thread_ring[prev];
+        pos = prev;
+      }
+      b.thread_ring[pos] = done;
       last_completion = std::max(last_completion, api.now_);
       b.finish[i] = api.now_;
 

@@ -121,8 +121,6 @@ class NicApi {
   void table_update(ExactTable& table, std::uint64_t key);
   /// LPM via the match-action engine; returns true on flow-cache hit.
   bool lpm_lookup(LpmTable& table, std::uint64_t key, bool use_flow_cache);
-  /// Software LPM on the NPU: trie walk over a table placed in memory.
-  void lpm_lookup_sw(ExactTable& trie, std::uint64_t key);
   /// DPI byte scan over the packet payload.
   void payload_scan();
   /// Token-bucket metering / statistics counters on placed state.
@@ -245,9 +243,12 @@ class NicSim {
     std::vector<Cycles> onramp;  // (hub_done - arrival) + dma, for attribution
     std::vector<Cycles> finish;
     std::vector<std::uint8_t> dropped;
-    /// Min-heap of (free_at, thread) with lazy invalidation — replaces
-    /// a linear scan over every hardware thread per packet.
-    std::vector<std::pair<Cycles, std::uint32_t>> thread_heap;
+    /// Every hardware thread as (free_at, thread), sorted ascending in a
+    /// ring of power-of-two size: the front is the thread the linear
+    /// scan would pick, and a completion goes back in by a short
+    /// backward scan, since completions come nearly in order.
+    std::vector<std::pair<Cycles, std::uint32_t>> thread_ring;
+    std::size_t thread_ring_head = 0;
     /// Ring buffer of dispatch times of queued packets (the deque the
     /// scalar loop uses, without its allocation).
     std::vector<Cycles> inflight;

@@ -1,6 +1,6 @@
 #include "nicsim/tables.hpp"
 
-#include <cassert>
+#include <utility>
 
 namespace clara::nicsim {
 
@@ -26,12 +26,15 @@ std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 ExactTable::ExactTable(std::string name, std::uint64_t entries, Bytes entry_bytes, MemLevel placement)
-    : name_(std::move(name)), entries_(entries), entry_bytes_(entry_bytes), placement_(placement) {
-  assert(entries > 0);
+    : name_(std::move(name)),
+      entries_(entries),
+      entry_bytes_(entry_bytes),
+      placement_(placement),
+      slot_mod_(entries) {
   slots_.assign(entries, 0);
 }
 
-std::uint64_t ExactTable::slot_of(std::uint64_t key) const { return mix(key) % entries_; }
+std::uint64_t ExactTable::slot_of(std::uint64_t key) const { return slot_mod_(mix(key)); }
 
 ExactTable::AccessPlan ExactTable::lookup(std::uint64_t key) const {
   AccessPlan plan;

@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/fastmod.hpp"
 #include "common/types.hpp"
 #include "nicsim/cache.hpp"
 
@@ -65,6 +65,7 @@ class ExactTable {
   std::uint64_t entries_;
   Bytes entry_bytes_;
   MemLevel placement_;
+  FastMod slot_mod_;  // `% entries_` without a hardware divide
   std::uint64_t base_ = 0;
   std::vector<std::uint64_t> slots_;  // key per slot; 0 = empty
   std::uint64_t occupied_ = 0;

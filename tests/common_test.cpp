@@ -8,6 +8,7 @@
 #include <limits>
 #include <set>
 
+#include "common/fastmod.hpp"
 #include "common/hash.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -208,6 +209,27 @@ TEST(Zipf, GeneratedTraceBytesArePinned) {
       h.mix(std::uint64_t{p.tcp_flags}).mix(std::uint64_t{p.payload_len}).mix(std::uint64_t{p.arrival_ns});
     }
     EXPECT_EQ(h.digest(), digest) << spec;
+  }
+}
+
+TEST(FastMod, EqualsRemainderForEveryDivisorShape) {
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t divisors[] = {1, 2, 3, 6144, 10000, (1ULL << 32) + 1, (1ULL << 63) + 1, kMax};
+  Rng rng(2024);
+  for (const std::uint64_t d : divisors) {
+    const FastMod mod(d);
+    // Edges of the first two periods and of the operand range; 2d - 1
+    // wraps for d > 2^63, which is one more 64-bit input.
+    for (const std::uint64_t a : {std::uint64_t{0}, d - 1, d, 2 * d - 1, kMax}) {
+      EXPECT_EQ(mod(a), a % d) << a << " % " << d;
+    }
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t a = rng.next_u64();
+      if (mod(a) != a % d) {
+        ADD_FAILURE() << a << " % " << d << ": got " << mod(a) << ", want " << a % d;
+        break;
+      }
+    }
   }
 }
 

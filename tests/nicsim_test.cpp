@@ -3,6 +3,11 @@
 // contention, drops).
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "nf/nf_ported.hpp"
 #include "nicsim/cache.hpp"
 #include "nicsim/sim.hpp"
@@ -113,6 +118,68 @@ TEST(LruTableTest, StressAgainstReference) {
     if (ref_hit) reference.erase(it);
     reference.insert(reference.begin(), key);
     if (reference.size() > 16) reference.pop_back();
+  }
+}
+
+TEST(LruTableTest, StressAgainstReferenceAtFlowCacheSize) {
+  // The simulator's flow-cache size, ~3x as many keys as slots, and key
+  // groups chosen against the index: some share one home slot (long
+  // probe runs), some start their probe in the last slots (runs that
+  // wrap to the front), so backward-shift deletion moves entries across
+  // both. A std::list + map reference gives the expected LRU order.
+  constexpr std::uint32_t kCapacity = 4096;
+  LruTable t(kCapacity);
+  const std::size_t slots = t.index_slots();
+  std::vector<std::uint64_t> keys;
+  std::uint64_t candidate = 1;
+  auto collect = [&](std::size_t count, auto wanted) {
+    for (std::size_t found = 0; found < count; ++candidate) {
+      if (wanted(t.home_slot(candidate))) {
+        keys.push_back(candidate);
+        ++found;
+      }
+    }
+  };
+  collect(48, [&](std::size_t home) { return home == slots / 2; });
+  collect(48, [&](std::size_t home) { return home == 7; });
+  collect(400, [&](std::size_t home) { return home + 4 >= slots; });
+  collect(400, [&](std::size_t home) { return home < 4; });
+  while (keys.size() < 3 * kCapacity) keys.push_back(candidate++ * 0x9e3779b97f4a7c15ULL);
+
+  std::list<std::uint64_t> reference;  // front = MRU
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> where;
+  auto reference_access = [&](std::uint64_t key) {
+    const auto it = where.find(key);
+    const bool hit = it != where.end();
+    if (hit) reference.erase(it->second);
+    reference.push_front(key);
+    where[key] = reference.begin();
+    if (reference.size() > kCapacity) {
+      where.erase(reference.back());
+      reference.pop_back();
+    }
+    return hit;
+  };
+
+  Rng rng(99);
+  for (int round = 0; round < 2; ++round) {  // the second round reuses the table after clear()
+    for (int i = 0; i < 50'000; ++i) {
+      // Skew half the draws toward the colliding groups at the front.
+      const std::uint64_t key =
+          keys[rng.chance(0.5) ? rng.next_below(896) : rng.next_below(keys.size())];
+      ASSERT_EQ(t.lookup_or_insert(key), reference_access(key)) << "round " << round << " op " << i;
+      if (i % 5000 == 0) {
+        for (const std::uint64_t k : keys) {
+          ASSERT_EQ(t.contains(k), where.count(k) > 0) << "round " << round << " op " << i;
+        }
+      }
+    }
+    EXPECT_EQ(t.size(), kCapacity);
+    t.clear();
+    reference.clear();
+    where.clear();
+    EXPECT_EQ(t.size(), 0u);
+    for (const std::uint64_t k : keys) ASSERT_FALSE(t.contains(k));
   }
 }
 

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "frontend/p4lite.hpp"
 #include "ilp/instances.hpp"
 #include "ilp/simplex.hpp"
@@ -164,51 +166,95 @@ void expect_identical_accumulators(const Accumulator& a, const Accumulator& b,
   EXPECT_EQ(a.max(), b.max()) << label;
 }
 
+void expect_identical_run_stats(const nicsim::RunStats& a, const nicsim::RunStats& b,
+                                const std::string& label) {
+  EXPECT_EQ(a.packets, b.packets) << label;
+  EXPECT_EQ(a.drops, b.drops) << label;
+  EXPECT_EQ(a.latency.samples(), b.latency.samples()) << label;
+  expect_identical_accumulators(a.tcp_latency, b.tcp_latency, label + "/tcp");
+  expect_identical_accumulators(a.udp_latency, b.udp_latency, label + "/udp");
+  expect_identical_accumulators(a.syn_latency, b.syn_latency, label + "/syn");
+  expect_identical_accumulators(a.queue_wait, b.queue_wait, label + "/queue_wait");
+  EXPECT_EQ(a.emem_cache_hit_rate, b.emem_cache_hit_rate) << label;
+  EXPECT_EQ(a.flow_cache_hit_rate, b.flow_cache_hit_rate) << label;
+  EXPECT_EQ(a.achieved_pps, b.achieved_pps) << label;
+  EXPECT_EQ(a.energy_nj_per_packet, b.energy_nj_per_packet) << label;
+  EXPECT_EQ(a.energy_watts, b.energy_watts) << label;
+  EXPECT_EQ(a.breakdown.packets(), b.breakdown.packets()) << label;
+  for (std::size_t i = 0; i < obs::kComponentCount; ++i) {
+    const auto c = static_cast<obs::Component>(i);
+    expect_identical_accumulators(a.breakdown.component(c), b.breakdown.component(c),
+                                  label + "/" + obs::component_name(c));
+  }
+}
+
+/// Fixed placements (EMEM primary, IMEM secondary): placement doesn't
+/// matter for SoA-vs-scalar identity, only that both sims are configured
+/// the same way. EMEM keeps the cache model on the hot path.
+const nf::Placement kFixedPlacement{{nicsim::MemLevel::kEmem, nicsim::MemLevel::kImem}};
+
+/// Runs `scenario` over `workload` through run() on one fresh simulator
+/// and run_scalar() on another, both built from `config`.
+std::pair<nicsim::RunStats, nicsim::RunStats> run_both(const obs::ValidationScenario& scenario,
+                                                       const std::string& workload,
+                                                       const nicsim::NicConfig& config) {
+  const auto profile = workload::parse_profile(workload);
+  EXPECT_TRUE(profile.ok()) << workload;
+  const auto trace = workload::generate_trace(profile.value());
+  const auto fn = scenario.build();
+  EXPECT_TRUE(fn.ok()) << scenario.name();
+  nicsim::NicSim soa_sim(config);
+  nicsim::NicSim scalar_sim(config);
+  auto soa_program = nf::make_port(scenario.nf, soa_sim, fn.value(), kFixedPlacement);
+  auto scalar_program = nf::make_port(scenario.nf, scalar_sim, fn.value(), kFixedPlacement);
+  EXPECT_TRUE(soa_program.ok()) << scenario.name();
+  EXPECT_TRUE(scalar_program.ok()) << scenario.name();
+  return {soa_sim.run(*soa_program.value(), trace),
+          scalar_sim.run_scalar(*scalar_program.value(), trace)};
+}
+
 TEST(SoaEquiv, BatchedRunMatchesScalarOnLedgerScenarios) {
   const auto matrix = obs::AccuracyLedger::default_matrix();
   ASSERT_FALSE(matrix.empty());
   for (const auto& scenario : matrix) {
-    const auto profile = workload::parse_profile(scenario.workload);
-    ASSERT_TRUE(profile.ok()) << scenario.name();
-    const auto trace = workload::generate_trace(profile.value());
-    const auto fn = scenario.build();
-    ASSERT_TRUE(fn.ok()) << scenario.name();
-
-    // Fixed placements (EMEM primary, IMEM secondary): placement doesn't
-    // matter for SoA-vs-scalar identity, only that both sims are
-    // configured the same way.
-    const nf::Placement fixed{{nicsim::MemLevel::kEmem, nicsim::MemLevel::kImem}};
-    nicsim::NicSim soa_sim;
-    nicsim::NicSim scalar_sim;
-    auto soa_program = nf::make_port(scenario.nf, soa_sim, fn.value(), fixed);
-    auto scalar_program = nf::make_port(scenario.nf, scalar_sim, fn.value(), fixed);
-    ASSERT_TRUE(soa_program.ok()) << scenario.name();
-    ASSERT_TRUE(scalar_program.ok()) << scenario.name();
-
-    const auto batched = soa_sim.run(*soa_program.value(), trace);
-    const auto scalar = scalar_sim.run_scalar(*scalar_program.value(), trace);
-    const std::string label = scenario.name();
-
-    EXPECT_EQ(batched.packets, scalar.packets) << label;
-    EXPECT_EQ(batched.drops, scalar.drops) << label;
-    EXPECT_EQ(batched.latency.samples(), scalar.latency.samples()) << label;
-    expect_identical_accumulators(batched.tcp_latency, scalar.tcp_latency, label + "/tcp");
-    expect_identical_accumulators(batched.udp_latency, scalar.udp_latency, label + "/udp");
-    expect_identical_accumulators(batched.syn_latency, scalar.syn_latency, label + "/syn");
-    expect_identical_accumulators(batched.queue_wait, scalar.queue_wait, label + "/queue_wait");
-    EXPECT_EQ(batched.emem_cache_hit_rate, scalar.emem_cache_hit_rate) << label;
-    EXPECT_EQ(batched.flow_cache_hit_rate, scalar.flow_cache_hit_rate) << label;
-    EXPECT_EQ(batched.achieved_pps, scalar.achieved_pps) << label;
-    EXPECT_EQ(batched.energy_nj_per_packet, scalar.energy_nj_per_packet) << label;
-    EXPECT_EQ(batched.energy_watts, scalar.energy_watts) << label;
-    EXPECT_EQ(batched.breakdown.packets(), scalar.breakdown.packets()) << label;
-    for (std::size_t i = 0; i < obs::kComponentCount; ++i) {
-      const auto c = static_cast<obs::Component>(i);
-      expect_identical_accumulators(batched.breakdown.component(c),
-                                    scalar.breakdown.component(c),
-                                    label + "/" + obs::component_name(c));
-    }
+    const auto [batched, scalar] = run_both(scenario, scenario.workload, nicsim::netronome_config());
+    expect_identical_run_stats(batched, scalar, scenario.name());
   }
+}
+
+/// DPI far past saturation. The ingress hub admits at most one packet
+/// per 40 cycles (20 Mpps at 800 MHz), while 448 threads clear a
+/// 1200-byte scan in about 8k cycles (~45 Mpps), so the full NIC never
+/// queues. 16 threads (~1.6 Mpps) behind a 16-deep queue are ten times
+/// overloaded at 16 Mpps.
+const obs::ValidationScenario kOverloadedDpi{"dpi", "16mpps", ""};
+const char* const kOverloadedDpiWorkload =
+    "tcp=0.8 flows=5000 payload=1200 pps=16000000 packets=8000 seed=11";
+
+nicsim::NicConfig overloaded_dpi_config() {
+  nicsim::NicConfig config = nicsim::netronome_config();
+  config.islands = 1;
+  config.npus_per_island = 2;
+  config.ingress_queue_capacity = 16;
+  return config;
+}
+
+TEST(SoaEquiv, BatchedRunMatchesScalarWhenOverloaded) {
+  // Queue drops, completions far out of arrival order and every thread
+  // free at t=0 (all ties). The LPM case's flow-cache misses walk DRAM
+  // for ~400k cycles against 200-cycle hits, so its 448-thread ring sees
+  // the longest re-insertion scans.
+  const auto [dpi_batched, dpi_scalar] =
+      run_both(kOverloadedDpi, kOverloadedDpiWorkload, overloaded_dpi_config());
+  EXPECT_GT(dpi_batched.drops, 0u);
+  expect_identical_run_stats(dpi_batched, dpi_scalar, "dpi/16mpps");
+
+  const obs::ValidationScenario lpm{"lpm", "zipf-2mpps", "", 10'000, true};
+  const auto [lpm_batched, lpm_scalar] =
+      run_both(lpm, "tcp=0.8 flows=20000 zipf=0.8 payload=300 pps=2000000 packets=20000",
+               nicsim::netronome_config());
+  EXPECT_GT(lpm_batched.queue_wait.max(), 0.0);
+  expect_identical_run_stats(lpm_batched, lpm_scalar, "lpm/zipf-2mpps");
 }
 
 TEST(SoaEquiv, BatchedRunMatchesScalarAcrossRepeatedRunsOnOneSim) {
@@ -235,6 +281,92 @@ TEST(SoaEquiv, BatchedRunMatchesScalarAcrossRepeatedRunsOnOneSim) {
     EXPECT_EQ(batched.emem_cache_hit_rate, scalar.emem_cache_hit_rate) << label;
     EXPECT_EQ(batched.flow_cache_hit_rate, scalar.flow_cache_hit_rate) << label;
     EXPECT_EQ(batched.energy_nj_per_packet, scalar.energy_nj_per_packet) << label;
+  }
+}
+
+// --- simulator output pinned across versions ---------------------------------
+
+void mix_accumulator(Fnv1a& h, const Accumulator& a) {
+  h.mix(static_cast<std::uint64_t>(a.count())).mix(a.sum()).mix(a.mean());
+  h.mix(a.stddev()).mix(a.min()).mix(a.max());
+}
+
+/// FNV-1a over every field of `stats`: latency samples in delivery
+/// order, every accumulator (breakdown components included), counts,
+/// rates and energy.
+std::uint64_t run_stats_digest(const nicsim::RunStats& stats) {
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(stats.latency.count()));
+  for (const double v : stats.latency.samples()) h.mix(v);
+  mix_accumulator(h, stats.tcp_latency);
+  mix_accumulator(h, stats.udp_latency);
+  mix_accumulator(h, stats.syn_latency);
+  mix_accumulator(h, stats.queue_wait);
+  h.mix(stats.packets).mix(stats.drops);
+  h.mix(stats.emem_cache_hit_rate).mix(stats.flow_cache_hit_rate);
+  h.mix(stats.offered_pps).mix(stats.achieved_pps).mix(stats.clock_hz);
+  h.mix(stats.energy_nj_per_packet).mix(stats.energy_watts);
+  h.mix(stats.breakdown.packets());
+  for (std::size_t i = 0; i < obs::kComponentCount; ++i) {
+    mix_accumulator(h, stats.breakdown.component(static_cast<obs::Component>(i)));
+  }
+  return h.digest();
+}
+
+TEST(SimPin, RunStatsDigestsArePinned) {
+  // SoaEquiv compares run() with run_scalar() inside one build, so it
+  // cannot see a change to code both loops share (Accumulator, the cache
+  // and table models). These digests were taken before the thread ring,
+  // the exact division-free indexing and the flat flow-cache index went
+  // in: simulator output must not move a single bit.
+  struct Pinned {
+    obs::ValidationScenario scenario;
+    std::string workload;
+    nicsim::NicConfig config;
+    std::uint64_t digest;
+  };
+  std::vector<Pinned> pinned;
+  const std::uint64_t ledger_digests[] = {
+      0xebc194d28067267cULL,  // lpm/rules=5000
+      0xb36ab1727f37fc23ULL,  // lpm/rules=15000
+      0xa9a1a4bc48fbae85ULL,  // lpm/rules=30000
+      0x9f3804603a38db39ULL,  // lpm/zipf
+      0x5161b624347a4210ULL,  // nat/payload=200
+      0xab56e9f8ce9ef551ULL,  // nat/payload=800
+      0x4a81e4c451aad7b0ULL,  // nat/payload=1400
+      0x4165026719c03551ULL,  // vnf-chain/payload=200
+      0x4d4f19fe4492bdf4ULL,  // vnf-chain/payload=800
+      0x36b307a5c65a6f6cULL,  // vnf-chain/payload=1400
+      0xb0d34c763fde2ae8ULL,  // firewall/standard
+      0x28599418c2ce3475ULL,  // heavy-hitter/standard
+      0x5e18e6ca2d7ce767ULL,  // meter/standard
+      0xe669ecab4db2bca8ULL,  // flow-stats/standard
+      0x8fa011938f39e779ULL,  // dpi/payload=400
+      0x915a18b643a9d1b9ULL,  // dpi/payload=1200
+      0xc7b52bb64b7262e0ULL,  // rewrite/standard
+      0xd47e3faf4232bad7ULL,  // crypto-gw/standard
+  };
+  const auto matrix = obs::AccuracyLedger::default_matrix();
+  ASSERT_EQ(matrix.size(), std::size(ledger_digests));
+  for (std::size_t i = 0; i < matrix.size(); ++i) {
+    pinned.push_back(
+        {matrix[i], matrix[i].workload + " seed=11", nicsim::netronome_config(), ledger_digests[i]});
+  }
+  pinned.push_back(
+      {kOverloadedDpi, kOverloadedDpiWorkload, overloaded_dpi_config(), 0xd5c8df4852a2b8b4ULL});
+
+  for (const auto& p : pinned) {
+    const auto profile = workload::parse_profile(p.workload);
+    ASSERT_TRUE(profile.ok()) << p.workload;
+    const auto trace = workload::generate_trace(profile.value());
+    const auto fn = p.scenario.build();
+    ASSERT_TRUE(fn.ok()) << p.scenario.name();
+    nicsim::NicSim sim(p.config);
+    auto program = nf::make_port(p.scenario.nf, sim, fn.value(), kFixedPlacement);
+    ASSERT_TRUE(program.ok()) << p.scenario.name();
+    const auto stats = sim.run(*program.value(), trace);
+    EXPECT_EQ(run_stats_digest(stats), p.digest)
+        << p.scenario.name() << ": got 0x" << std::hex << run_stats_digest(stats);
   }
 }
 

@@ -1,16 +1,17 @@
-// Shared parallelism substrate: a fixed-size work-stealing thread pool.
+// Shared parallelism substrate: a fixed-size thread pool with one
+// shared task queue.
 //
 // Every parallel path in Clara (branch-and-bound LP solves, sharded
-// workload sweeps) funnels through this one pool so the process never
-// oversubscribes the machine. Design:
+// workload sweeps, daemon requests) funnels through this one pool so the
+// process never oversubscribes the machine. Design:
 //
-//   * one Chase-Lev deque per worker — the owning worker pushes/pops at
-//     the bottom, idle workers steal from the top (lock-free, the
-//     fence-free seq_cst formulation of Lê et al., which is also clean
-//     under ThreadSanitizer);
-//   * external threads (and parallel_for callers) enqueue into a
-//     mutex-guarded injector queue; workers drain their own deque first,
-//     then the injector, then steal round-robin;
+//   * one mutex-guarded queue: a task submitted from a worker of this
+//     pool (a nested parallel_for) goes to the front, every external
+//     submission to the back, so a thread waiting on nested work runs
+//     its own subtasks before unrelated queued requests;
+//   * idle workers block on a condition variable under the queue mutex
+//     (no timed naps: stop and the queue are both guarded by that mutex,
+//     so no wakeup is lost);
 //   * waiting threads are never passive: TaskGroup::wait() executes
 //     pending tasks while it waits, so nested parallel_for (a sweep
 //     shard whose MILP solve fans out again) cannot deadlock.
@@ -28,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -56,7 +56,6 @@ struct LaneStats {
   std::uint64_t sched_ns = 0;  // task acquisition + enqueue overhead
   std::uint64_t idle_ns = 0;   // waiting with no runnable work (barrier/starvation)
   std::uint64_t tasks = 0;     // tasks executed on this lane
-  std::uint64_t steals = 0;    // successful deque steals by this lane
 };
 
 /// Monotonic pool counters for observability. Consumers snapshot before
@@ -69,10 +68,12 @@ struct PoolStats {
 
   std::uint64_t tasks_run = 0;       // tasks executed by pool workers
   std::uint64_t tasks_inline = 0;    // tasks executed by waiting callers
-  std::uint64_t steals = 0;          // successful deque steals
-  std::uint64_t injected = 0;        // tasks routed through the injector
+  /// Always 0: the shared queue has nothing to steal from. Kept so
+  /// snapshot consumers that read it keep building.
+  std::uint64_t steals = 0;
+  std::uint64_t injected = 0;        // tasks enqueued on the shared queue
   std::uint64_t worker_busy_ns = 0;  // summed task wall time on workers
-  std::size_t queue_depth = 0;       // injector backlog at snapshot time
+  std::size_t queue_depth = 0;       // queue backlog at snapshot time
   std::vector<std::uint64_t> per_worker_busy_ns;
   /// Full attribution per worker lane (run+sched+idle covers nearly the
   /// whole worker wall clock; the remainder is loop bookkeeping).
@@ -87,15 +88,15 @@ struct PoolStats {
 /// obs flight recorder installs one). `lane` is the worker index, or
 /// kInlineLane for external threads; kTaskStop carries the task body
 /// duration in ns as `arg`.
-enum class PoolEvent : std::uint8_t { kTaskStart, kTaskStop, kSteal, kQueueOverflow };
+enum class PoolEvent : std::uint8_t { kTaskStart, kTaskStop };
 
 inline constexpr std::uint64_t kInlineLane = ~std::uint64_t{0};
 
 using PoolEventHook = void (*)(PoolEvent event, std::uint64_t lane, std::uint64_t arg);
 
 /// Installs (or clears, with nullptr) the pool event hook. The hook must
-/// be thread-safe and cheap; it fires on task start/stop, successful
-/// steals, and deque-overflow fallbacks. One hook at a time.
+/// be thread-safe and cheap; it fires on task start and stop. One hook
+/// at a time.
 void set_pool_event_hook(PoolEventHook hook);
 
 class ThreadPool;
@@ -106,7 +107,6 @@ class ThreadPool;
 class TaskGroup {
  public:
   TaskGroup();
-  explicit TaskGroup(ThreadPool& pool);
   ~TaskGroup();
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
@@ -153,9 +153,9 @@ class ThreadPool {
 
 /// Parallel loop over [begin, end): body(i) for every index, partitioned
 /// into ~4x-jobs() contiguous chunks of at least `grain` indices. The
-/// caller participates; nested calls are safe (inner loops run inline or
-/// steal lanes as available). Iterations must be independent — the loop
-/// guarantees nothing about execution order.
+/// caller participates; nested calls are safe (inner chunks queue ahead
+/// of outer work and the waiting thread helps run them). Iterations must
+/// be independent — the loop guarantees nothing about execution order.
 void parallel_for(std::size_t begin, std::size_t end, const std::function<void(std::size_t)>& body,
                   std::size_t grain = 1);
 
@@ -163,23 +163,6 @@ void parallel_for(std::size_t begin, std::size_t end, const std::function<void(s
 /// jobs()). Used by solver/sweep options that pin their own jobs value.
 void parallel_for_jobs(std::size_t jobs_override, std::size_t begin, std::size_t end,
                        const std::function<void(std::size_t)>& body, std::size_t grain = 1);
-
-/// Future-based one-off submission. With jobs()==1 the task runs inline
-/// and the future is immediately ready.
-template <class F>
-auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-  using R = std::invoke_result_t<F>;
-  auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-  auto future = task->get_future();
-  if (jobs() <= 1) {
-    (*task)();
-    return future;
-  }
-  // Detached group: the future carries completion, no join needed.
-  auto group = std::make_shared<TaskGroup>();
-  group->run([task, group] { (*task)(); });
-  return future;
-}
 
 /// Deterministic per-shard RNG stream seed: splitmix64 of (base, index).
 /// Shards seeded this way are statistically independent regardless of

@@ -44,7 +44,7 @@ constexpr std::size_t kWaveWidth = 16;
 
 /// Sibling nodes batched per pool task when a wave's relaxations run
 /// concurrently. Node LPs are short (tens of microseconds warm), so one
-/// task per node spends a visible fraction of the wave on submit/steal
+/// task per node spends a visible fraction of the wave on queueing
 /// overhead; batching amortizes it. Purely a scheduling choice: results
 /// are applied in pop order regardless.
 constexpr std::size_t kWaveGrain = 4;

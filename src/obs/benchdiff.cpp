@@ -112,8 +112,9 @@ void diff_named_section(BenchDiffReport& report, const char* section, const Json
       continue;
     }
     const Json& new_entry = *it->second;
-    const bool oversubscribed =
-        old_entry->bool_at("oversubscribed") || new_entry.bool_at("oversubscribed");
+    // Only the new run's own flag waives the >1.0 speedup contract: an
+    // oversubscribed baseline says nothing about the runner being judged.
+    const bool oversubscribed = new_entry.bool_at("oversubscribed");
     for (const auto& metric : lower_is_better) {
       if (!old_entry->get(metric) && !new_entry.get(metric)) continue;
       const double old_value = old_entry->number_at(metric);

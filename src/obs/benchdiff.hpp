@@ -8,9 +8,9 @@
 //   * clara-bench-perf/1 (bench/perf_micro, docs/performance.md):
 //     relative thresholds. Lower-is-better metrics (ns_per_iter, *_ms)
 //     regress when new > old * (1 + threshold); higher-is-better
-//     metrics (speedup) when new < old * (1 - threshold); parallel
-//     speedups are not gated when either run was oversubscribed (wall
-//     times still are); micros faster than `min_micro_ns` are reported
+//     metrics (speedup) when new < old * (1 - threshold); a parallel
+//     speedup below 1.0 fails outright unless the new run was
+//     oversubscribed (then only the relative gate applies); micros faster than `min_micro_ns` are reported
 //     but not gated (timer noise dominates); scenarios present in only
 //     one run are reported, never gated.
 //

@@ -12,7 +12,6 @@ void publish_pool_stats(const std::string& module, const parallel::PoolStats& be
   const std::string labels = "module=" + module;
   registry.counter("parallel/tasks_run", labels).inc(after.tasks_run - before.tasks_run);
   registry.counter("parallel/tasks_inline", labels).inc(after.tasks_inline - before.tasks_inline);
-  registry.counter("parallel/steals", labels).inc(after.steals - before.steals);
   registry.counter("parallel/injected", labels).inc(after.injected - before.injected);
   registry.counter("parallel/worker_busy_ns", labels).inc(after.worker_busy_ns - before.worker_busy_ns);
   registry.gauge("parallel/queue_depth", labels).set(static_cast<double>(after.queue_depth));

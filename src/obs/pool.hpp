@@ -15,7 +15,7 @@ namespace clara::obs {
 /// Publishes the delta between two pool-stats snapshots under
 /// "parallel/*" instruments labeled "module=<module>":
 ///   counters  parallel/tasks_run, parallel/tasks_inline,
-///             parallel/steals, parallel/injected,
+///             parallel/injected (tasks enqueued),
 ///             parallel/worker_busy_ns
 ///   gauge     parallel/queue_depth (absolute, from `after`)
 ///   gauges    parallel/worker_busy_ns{module=...,worker=i} (cumulative)

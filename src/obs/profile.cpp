@@ -15,7 +15,6 @@ parallel::LaneStats lane_delta(const parallel::LaneStats& before, const parallel
   d.sched_ns = after.sched_ns - before.sched_ns;
   d.idle_ns = after.idle_ns - before.idle_ns;
   d.tasks = after.tasks - before.tasks;
-  d.steals = after.steals - before.steals;
   return d;
 }
 
@@ -43,20 +42,19 @@ double ProfileReport::coverage() const {
 }
 
 std::string ProfileReport::render() const {
-  TextTable table({"lane", "run ms", "sched ms", "idle ms", "other ms", "tasks", "steals"});
+  TextTable table({"lane", "run ms", "sched ms", "idle ms", "other ms", "tasks"});
   for (const auto& lane : lanes) {
     table.add_row({lane.name, strf("%.3f", ms(lane.run_ns)), strf("%.3f", ms(lane.sched_ns)),
                    strf("%.3f", ms(lane.idle_ns)), strf("%.3f", ms(lane.other_ns)),
-                   strf("%llu", static_cast<unsigned long long>(lane.tasks)),
-                   strf("%llu", static_cast<unsigned long long>(lane.steals))});
+                   strf("%llu", static_cast<unsigned long long>(lane.tasks))});
   }
   std::string out = table.render();
   out += strf(
       "wall %.3f ms, lanes %zu, attribution coverage %.1f%%\n"
-      "tasks: %llu on workers, %llu inline; steals %llu, injected %llu\n",
+      "tasks: %llu on workers, %llu inline; injected %llu\n",
       ms(wall_ns), lane_count, coverage() * 100.0,
       static_cast<unsigned long long>(tasks_run), static_cast<unsigned long long>(tasks_inline),
-      static_cast<unsigned long long>(steals), static_cast<unsigned long long>(injected));
+      static_cast<unsigned long long>(injected));
 
   std::uint64_t total_tasks = 0;
   for (const auto count : task_ns_hist) total_tasks += count;
@@ -80,7 +78,6 @@ ProfileReport profile_delta(const parallel::PoolStats& before, const parallel::P
   report.wall_ns = wall_ns;
   report.tasks_run = after.tasks_run - before.tasks_run;
   report.tasks_inline = after.tasks_inline - before.tasks_inline;
-  report.steals = after.steals - before.steals;
   report.injected = after.injected - before.injected;
   for (std::size_t i = 0; i < report.task_ns_hist.size(); ++i) {
     report.task_ns_hist[i] = after.task_ns_hist[i] - before.task_ns_hist[i];
@@ -100,7 +97,6 @@ ProfileReport profile_delta(const parallel::PoolStats& before, const parallel::P
     const std::uint64_t measured = d.run_ns + d.sched_ns + d.idle_ns;
     lane.other_ns = wall_ns > measured ? wall_ns - measured : 0;
     lane.tasks = d.tasks;
-    lane.steals = d.steals;
     report.lanes.push_back(std::move(lane));
   }
 
@@ -115,7 +111,6 @@ ProfileReport profile_delta(const parallel::PoolStats& before, const parallel::P
   const std::uint64_t measured = caller.run_ns + caller.sched_ns + caller.idle_ns;
   caller_lane.other_ns = wall_ns > measured ? wall_ns - measured : 0;
   caller_lane.tasks = caller.tasks;
-  caller_lane.steals = caller.steals;
   report.lanes.push_back(std::move(caller_lane));
 
   report.lane_count = after.worker_lanes.size() + 1;

@@ -7,9 +7,9 @@
 // region and renders the per-lane attribution table that `clara profile
 // <command>` prints:
 //
-//   lane      run ms   sched ms   idle ms   other ms   tasks   steals
-//   worker0     41.2        0.3      10.1        0.1     312       18
-//   caller      38.9        0.4       9.8       12.4     301        2
+//   lane      run ms   sched ms   idle ms   other ms   tasks
+//   worker0     41.2        0.3      10.1        0.1     312
+//   caller      38.9        0.4       9.8       12.4     301
 //   ...
 //   wall 51.6 ms, lanes 4, attribution coverage 99.2%
 //
@@ -37,7 +37,6 @@ struct ProfileLane {
   std::uint64_t idle_ns = 0;
   std::uint64_t other_ns = 0;
   std::uint64_t tasks = 0;
-  std::uint64_t steals = 0;
 
   [[nodiscard]] std::uint64_t attributed_ns() const { return run_ns + sched_ns + idle_ns; }
 };
@@ -49,7 +48,6 @@ struct ProfileReport {
   std::vector<ProfileLane> lanes;  // workers first, caller last
   std::uint64_t tasks_run = 0;
   std::uint64_t tasks_inline = 0;
-  std::uint64_t steals = 0;
   std::uint64_t injected = 0;
   /// Per-task body duration histogram delta (log2 ns buckets).
   std::array<std::uint64_t, parallel::PoolStats::kTaskHistBuckets> task_ns_hist{};

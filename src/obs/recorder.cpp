@@ -42,8 +42,6 @@ const char* to_string(FlightEventKind kind) {
   switch (kind) {
     case FlightEventKind::kTaskStart: return "task_start";
     case FlightEventKind::kTaskStop: return "task_stop";
-    case FlightEventKind::kSteal: return "steal";
-    case FlightEventKind::kQueueOverflow: return "queue_overflow";
     case FlightEventKind::kWaveEnter: return "wave_enter";
     case FlightEventKind::kWaveExit: return "wave_exit";
     case FlightEventKind::kCacheHit: return "cache_hit";
@@ -264,10 +262,6 @@ void pool_event_hook(parallel::PoolEvent event, std::uint64_t lane, std::uint64_
   switch (event) {
     case parallel::PoolEvent::kTaskStart: record(FlightEventKind::kTaskStart, lane, arg); break;
     case parallel::PoolEvent::kTaskStop: record(FlightEventKind::kTaskStop, lane, arg); break;
-    case parallel::PoolEvent::kSteal: record(FlightEventKind::kSteal, lane, arg); break;
-    case parallel::PoolEvent::kQueueOverflow:
-      record(FlightEventKind::kQueueOverflow, lane, arg);
-      break;
   }
 }
 

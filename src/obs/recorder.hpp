@@ -3,8 +3,8 @@
 // Metrics say *how much*, traces say *where time went when tracing was
 // switched on*; the flight recorder answers "what just happened" after
 // the fact. Every thread that records gets a fixed-size ring buffer of
-// timestamped events (task start/stop, steals, queue overflows, solver
-// wave barriers, analysis-cache hits/misses, fault fires). Recording is
+// timestamped events (task start/stop, solver wave barriers,
+// analysis-cache hits/misses, fault fires). Recording is
 // a handful of relaxed atomic stores into the calling thread's own ring
 // — no locks, no allocation after the first event — so it stays enabled
 // in production. The rings keep the most recent kRingCapacity events per
@@ -31,16 +31,14 @@
 namespace clara::obs {
 
 enum class FlightEventKind : std::uint8_t {
-  kTaskStart = 0,      // pool task body begins; a = lane
-  kTaskStop = 1,       // pool task body ends; a = lane, b = duration ns
-  kSteal = 2,          // successful deque steal; a = thief lane, b = victim
-  kQueueOverflow = 3,  // worker deque full, task spilled to injector; a = lane
-  kWaveEnter = 4,      // B&B wave relaxations start; a = wave index, b = width
-  kWaveExit = 5,       // B&B wave relaxations done; a = wave index, b = wall ns
-  kCacheHit = 6,       // analysis-cache hit; a = stage ordinal, b = key digest
-  kCacheMiss = 7,      // analysis-cache miss; a = stage ordinal, b = key digest
-  kFaultFire = 8,      // fault/ injection site fired; a = site hash, b = key
-  kMark = 9,           // free-form caller marker
+  kTaskStart = 0,  // pool task body begins; a = lane
+  kTaskStop = 1,   // pool task body ends; a = lane, b = duration ns
+  kWaveEnter = 2,  // B&B wave relaxations start; a = wave index, b = width
+  kWaveExit = 3,   // B&B wave relaxations done; a = wave index, b = wall ns
+  kCacheHit = 4,   // analysis-cache hit; a = stage ordinal, b = key digest
+  kCacheMiss = 5,  // analysis-cache miss; a = stage ordinal, b = key digest
+  kFaultFire = 6,  // fault/ injection site fired; a = site hash, b = key
+  kMark = 7,       // free-form caller marker
 };
 
 const char* to_string(FlightEventKind kind);

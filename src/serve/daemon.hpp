@@ -5,7 +5,7 @@
 // connect it writes one hello line (a Response with kind "hello"), then
 // reads one JSON request object per line and writes one JSON response
 // object per line. Requests on a connection are independent and may be
-// pipelined: each is dispatched onto the shared work-stealing pool
+// pipelined: each is dispatched onto the shared thread pool
 // (parallel::pool) as it arrives, and responses are written as they
 // complete — possibly out of order, which is why every request carries
 // a client-chosen id that the response echoes. At --jobs=1 dispatch is

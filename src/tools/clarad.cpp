@@ -4,7 +4,7 @@
 //
 // Serves the clara-serve/1 JSON-lines protocol over a Unix-domain
 // socket: one Request object per line in, one Response object per line
-// out, multiplexed onto the shared work-stealing pool with the
+// out, multiplexed onto the shared thread pool with the
 // content-addressed analysis cache shared across every client (see
 // docs/api.md "Wire protocol"). `clara analyze --connect=<socket>`
 // and serve::Client speak to it; SIGINT/SIGTERM shut it down cleanly.

@@ -1,13 +1,18 @@
-// Stress tests for the work-stealing pool: many tiny tasks, nested
-// parallel_for, future submission, and the determinism contract. These
-// run under the `perf` ctest label and must stay clean under
-// -DCLARA_SANITIZE=thread.
+// Stress tests for the shared-queue pool: many tiny tasks, nested
+// parallel_for, nested-work-first ordering, pool resizing, and the
+// determinism contract. These run under the `perf` ctest label and must
+// stay clean under -DCLARA_SANITIZE=thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -95,26 +100,6 @@ TEST(Parallel, EmptyRangeIsNoop) {
   EXPECT_FALSE(ran);
 }
 
-TEST(Parallel, SubmitReturnsFutureValue) {
-  JobsGuard guard(4);
-  std::vector<std::future<int>> futures;
-  futures.reserve(100);
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(Parallel, SubmitInlineWhenSerial) {
-  JobsGuard guard(1);
-  auto future = submit([] { return 42; });
-  // jobs()==1 runs inline: the future is ready before get().
-  EXPECT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(future.get(), 42);
-}
-
 TEST(Parallel, TaskGroupWaitsForAll) {
   JobsGuard guard(4);
   std::atomic<int> done{0};
@@ -126,6 +111,67 @@ TEST(Parallel, TaskGroupWaitsForAll) {
     group.wait();
     EXPECT_EQ(done.load(), 500);
   }
+}
+
+TEST(Parallel, NestedTasksRunBeforeQueuedTopLevelTasks) {
+  // One worker plus the caller. Task A occupies the worker, and only once
+  // the top-level tasks B are queued behind it does A fan out a nested
+  // parallel_for. While A waits on its loop it must run the loop's own
+  // chunks (queued at the front) rather than the Bs ahead of them.
+  JobsGuard guard(2);
+  constexpr int kTopLevel = 8;
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> bs_queued{false};
+  std::atomic<bool> nested_done{false};
+  std::atomic<int> early_bs{0};
+  std::atomic<int> bs_run{0};
+  std::atomic<std::uint64_t> nested_sum{0};
+  TaskGroup group;
+  group.run([&] {
+    a_started.store(true);
+    while (!bs_queued.load()) std::this_thread::yield();
+    parallel_for(0, 64, [&](std::size_t i) { nested_sum.fetch_add(i, std::memory_order_relaxed); });
+    nested_done.store(true);
+  });
+  // The caller is not waiting yet, so only the worker can have taken A.
+  while (!a_started.load()) std::this_thread::yield();
+  for (int i = 0; i < kTopLevel; ++i) {
+    group.run([&] {
+      if (!nested_done.load()) early_bs.fetch_add(1);
+      bs_run.fetch_add(1);
+    });
+  }
+  bs_queued.store(true);
+  // Stay out of the queue until A finishes: while it runs, the worker is
+  // the only thread that can start a B.
+  while (!nested_done.load()) std::this_thread::yield();
+  group.wait();
+  EXPECT_EQ(early_bs.load(), 0) << "a top-level task ran inside the nested loop's wait";
+  EXPECT_EQ(bs_run.load(), kTopLevel);
+  EXPECT_EQ(nested_sum.load(), 64u * 63u / 2u);
+}
+
+TEST(Parallel, ResizeCyclesWithIdleWorkersFinish) {
+  // Freshly spawned workers are shut down while they are still on their
+  // way to sleep; a stop flag set outside the queue mutex loses that
+  // wakeup and hangs the join. A watchdog turns such a hang into a
+  // failure instead of a stuck test binary.
+  JobsGuard guard(2);
+  std::promise<void> finished;
+  auto done = finished.get_future();
+  std::thread cycler([&] {
+    for (int i = 0; i < 200; ++i) {
+      set_jobs(4);
+      set_jobs(2);
+    }
+    finished.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "set_jobs(4)/set_jobs(2) cycles hung: a worker missed its stop signal\n");
+    std::_Exit(1);
+  }
+  cycler.join();
+  EXPECT_EQ(pool().workers(), 1u);
 }
 
 TEST(Parallel, PoolStatsAdvance) {

@@ -393,6 +393,24 @@ TEST(BenchDiff, SpeedupBelowOneFailsContractWhenNotOversubscribed) {
   EXPECT_TRUE(contract_fail);
 }
 
+TEST(BenchDiff, OversubscribedBaselineDoesNotWaiveNewRunsContract) {
+  // Only the new run's own flag waives the >1.0 contract: a baseline
+  // recorded on a starved runner says nothing about the runner judged now.
+  const auto old_run = parse_or_die(bench_run(1000.0, 125.0, 0.8, true));
+  const auto new_run = parse_or_die(bench_run(1000.0, 125.0, 0.8, false));
+  const auto report = diff_bench_json(old_run, new_run);
+  ASSERT_TRUE(report.ok());
+  bool contract_fail = false;
+  for (const auto& row : report.value().rows) {
+    if (row.scenario == "parallel/milp_branch_and_bound" && row.metric == "speedup") {
+      contract_fail = row.status == BenchDiffRow::Status::kRegressed &&
+                      row.note.find("1.0 contract") != std::string::npos;
+    }
+  }
+  EXPECT_TRUE(contract_fail);
+  EXPECT_TRUE(report.value().has_regression());
+}
+
 TEST(BenchDiff, SolverPivotMicroGetsTighterThreshold) {
   // +7% on solver_pivot_ns regresses under its 5% gate while the same
   // drift on an ordinary micro would pass the 10% default.

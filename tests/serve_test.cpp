@@ -35,12 +35,12 @@
 #include "core/cache.hpp"
 #include "core/request.hpp"
 #include "fault/fault.hpp"
+#include "nf/catalog.hpp"
 #include "nf/nf_cir.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/registry.hpp"
 #include "serve/service.hpp"
 
 namespace clara::serve {
@@ -299,7 +299,7 @@ TEST(ServeWireTest, ForeignProtocolRejected) {
 // --- registry ----------------------------------------------------------------
 
 TEST(ServeRegistryTest, CorpusIsCompleteAndBuildable) {
-  const auto& registry = nf_registry();
+  const auto& registry = nf::catalog();
   ASSERT_GE(registry.size(), 13u);
   std::set<std::string> names;
   for (const auto& entry : registry) {
@@ -308,8 +308,8 @@ TEST(ServeRegistryTest, CorpusIsCompleteAndBuildable) {
     EXPECT_FALSE(fn.name.empty()) << entry.name;
   }
   EXPECT_EQ(names.size(), registry.size()) << "duplicate NF names";
-  EXPECT_NE(find_nf("lpm"), nullptr);
-  EXPECT_EQ(find_nf("no-such-nf"), nullptr);
+  EXPECT_NE(nf::find_nf("lpm"), nullptr);
+  EXPECT_EQ(nf::find_nf("no-such-nf"), nullptr);
 }
 
 // --- service -----------------------------------------------------------------

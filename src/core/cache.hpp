@@ -229,9 +229,9 @@ AnalysisCache& analysis_cache();
 
 // -- Key derivation ---------------------------------------------------------
 
-/// Digest of an LNIC profile: name, every parameter (via the store's
-/// canonical serialization) and the graph structure — any Π/Γ/Θ change
-/// lands in one of those.
+/// Digest of an LNIC profile: name, every parameter (mixed by value,
+/// ParameterStore::hash_into) and the graph structure — any Π/Γ/Θ
+/// change lands in one of those.
 std::uint64_t hash_profile(const lnic::NicProfile& profile);
 
 /// Digest of the workload-derived cost hints.

@@ -3,8 +3,10 @@
 // Clara encodes its mapping problem (paper §3.4) as a small MILP; this
 // module provides the model representation, an exact two-phase simplex
 // for LP relaxations, and branch-and-bound over the integer variables.
-// Problem sizes are tens-to-hundreds of variables, so a dense tableau is
-// the right tool — no external solver dependency.
+// Problem sizes are tens-to-hundreds of variables with a handful of
+// nonzeros per column, so the simplex is a revised one over a sparse
+// matrix (ilp/simplex.hpp), with the dense tableau kept only as the
+// reference engine — no external solver dependency.
 #pragma once
 
 #include <limits>

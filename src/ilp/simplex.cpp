@@ -20,6 +20,17 @@
 //    tableau exists at all, so a pivot costs O(m + eta file) instead
 //    of O(rows × cols).
 //
+// Columns are hypersparse: on the mapping MILPs a materialized column
+// holds about a dozen nonzeros out of ~100 rows. Every column comes
+// back with the rows that may hold a nonzero, ascending, and every
+// per-row loop over a column (eta recording, the x_B update, the
+// install/refactor argmax, the ratio test) walks that list instead of
+// 0..m. That is exact, not approximate: an unlisted row holds ±0,
+// which fails every kEps filter and never wins a strict `>` argmax,
+// and ascending order keeps the Bland tie-breaks and the multiplier
+// order BTRAN/FTRAN sum in. FTRAN skips an eta whose pivot-row entry
+// is exactly zero; applying it could only flip the sign of a zero.
+//
 // Bit-identity between the two is by construction: the eta recorded at
 // each pivot is taken from the materialized column w, FTRAN performs
 // op-for-op the dense tableau's column update (v[row] /= pivot, then
@@ -37,9 +48,11 @@
 #include "ilp/simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 namespace clara::ilp {
@@ -55,11 +68,13 @@ constexpr std::size_t kNone = ~std::size_t{0};
 /// the eta file's length is what every BTRAN/FTRAN pass pays, so the
 /// interval bounds per-iteration pricing cost too. Both backends
 /// refactorize at the same cadence with the same row selection, so
-/// they stay in lockstep. The clock counts from solve start (warm
-/// installs included), so short node solves never refactorize
-/// mid-solve; long degenerate solves do, and the cleaner numerics
-/// usually saves them pivots outright — on the B&B bench this cadence
-/// cuts total pivots by more than half versus never refactorizing.
+/// they stay in lockstep. Only counted pivots advance the clock, and a
+/// warm install's pivots count: whenever the basis has more than 40
+/// rows, a warm node solve refactorizes at its first dual iteration,
+/// replaying the basis it just installed. Long degenerate solves
+/// refactorize mid-solve too, and the cleaner numerics usually saves
+/// them pivots outright — on the B&B bench this cadence cuts total
+/// pivots by more than half versus never refactorizing.
 constexpr std::size_t kRefactorEvery = 40;
 
 /// Standard-form problem: minimize c'y subject to A y = b, y >= 0,
@@ -228,6 +243,16 @@ void detect_initial_basis(const Standard& s, std::vector<std::size_t>& basis) {
   }
 }
 
+/// A materialized tableau column B^-1 A_j: values over all m rows, plus
+/// the rows that may hold a nonzero, in ascending order. Every row not
+/// listed holds exactly ±0. Valid until the backend's next column().
+struct Column {
+  const double* v = nullptr;
+  std::span<const std::uint32_t> rows;
+
+  double operator[](std::size_t r) const { return v[r]; }
+};
+
 /// Product-form basis inverse shared by both backends: pivot k is one
 /// Gauss-Jordan step stored as its pivot row, pivot value, and off-row
 /// multipliers. FTRAN replays the steps forward to carry a pristine
@@ -253,16 +278,17 @@ struct EtaFile {
 
   /// Records the pivot at `row` from the materialized column w.
   /// Multipliers mirror the dense update's skip rule: rows whose
-  /// coefficient is below kEps are not touched there either.
-  void record(std::size_t row, const double* w, std::size_t m) {
+  /// coefficient is below kEps are not touched there either. They are
+  /// stored in ascending row order, the order the dense update visits.
+  void record(std::size_t row, const Column& w) {
     Eta e;
     e.row = static_cast<std::uint32_t>(row);
     e.pivot = w[row];
     e.begin = mult_row.size();
-    for (std::size_t r = 0; r < m; ++r) {
+    for (const std::uint32_t r : w.rows) {
       if (r == row) continue;
       if (std::abs(w[r]) < kEps) continue;
-      mult_row.push_back(static_cast<std::uint32_t>(r));
+      mult_row.push_back(r);
       mult_val.push_back(w[r]);
     }
     e.end = mult_row.size();
@@ -270,13 +296,19 @@ struct EtaFile {
   }
 
   /// v := E_k ··· E_1 v — op-for-op the dense tableau's column update,
-  /// applied to a freshly scattered pristine column.
-  void ftran(double* v) const {
+  /// applied to a freshly scattered pristine column. An eta whose pivot
+  /// row holds ±0 is skipped: it would subtract (finite × ±0) from each
+  /// multiplier row, which can change only the sign of a zero. Every row
+  /// written is flagged in `touched` (one bit per row).
+  void ftran(double* v, std::uint64_t* touched) const {
     for (const Eta& e : etas) {
+      if (v[e.row] == 0.0) continue;
       v[e.row] /= e.pivot;
       const double pv = v[e.row];
       for (std::size_t k = e.begin; k < e.end; ++k) {
-        v[mult_row[k]] -= mult_val[k] * pv;
+        const std::uint32_t r = mult_row[k];
+        v[r] -= mult_val[k] * pv;
+        touched[r >> 6] |= std::uint64_t{1} << (r & 63);
       }
     }
   }
@@ -298,7 +330,8 @@ struct EtaFile {
 
 /// Explicit-tableau backend: the pristine matrix is materialized dense
 /// (structural CSC columns plus appended artificial unit columns) and
-/// every pivot updates the whole tableau.
+/// every pivot updates the whole tableau. column() lists a column's
+/// nonzero rows by scanning all of them.
 class DenseMatrix {
  public:
   void reset(const Standard& s, std::size_t n_total, const std::vector<std::size_t>& art_rows,
@@ -312,9 +345,13 @@ class DenseMatrix {
 
   void reset_to_pristine() { materialize(); }
 
-  const double* column(std::size_t j) {
-    for (std::size_t r = 0; r < s_->m; ++r) scratch_[r] = a_[r * n_total_ + j];
-    return scratch_.data();
+  Column column(std::size_t j) {
+    rows_.clear();
+    for (std::size_t r = 0; r < s_->m; ++r) {
+      scratch_[r] = a_[r * n_total_ + j];
+      if (scratch_[r] != 0.0) rows_.push_back(static_cast<std::uint32_t>(r));
+    }
+    return {scratch_.data(), rows_};
   }
 
   void pivot(std::size_t row, std::size_t col) {
@@ -349,6 +386,7 @@ class DenseMatrix {
   std::vector<std::size_t> art_rows_;
   std::vector<double> a_;  // m × n_total, row-major
   std::vector<double> scratch_;
+  std::vector<std::uint32_t> rows_;
 };
 
 /// Revised backend: no tableau anywhere. column(j) scatters the
@@ -356,6 +394,10 @@ class DenseMatrix {
 /// file — bit-identical to the dense column because FTRAN replays
 /// exactly the updates the dense tableau applied eagerly. pivot() is a
 /// no-op: the eta the engine records *is* this backend's state change.
+///
+/// Scratch stays all-zero between calls except for the previous
+/// column's rows, so each call clears only those: the cost is the
+/// column's nonzeros plus one check per eta, not O(m).
 class SparseMatrix {
  public:
   void reset(const Standard& s, std::size_t n_total, const std::vector<std::size_t>& art_rows,
@@ -363,24 +405,38 @@ class SparseMatrix {
     s_ = &s;
     art_rows_ = &art_rows;
     eta_ = &etas;
-    scratch_.resize(s.m);
+    scratch_.assign(s.m, 0.0);
+    touched_.assign((s.m + 63) / 64, 0);
+    rows_.clear();
     (void)n_total;
   }
 
   void reset_to_pristine() {}
 
-  const double* column(std::size_t j) {
+  Column column(std::size_t j) {
     double* v = scratch_.data();
-    std::fill(v, v + s_->m, 0.0);
+    std::uint64_t* touched = touched_.data();
+    for (const std::uint32_t r : rows_) v[r] = 0.0;
+    std::fill(touched_.begin(), touched_.end(), 0);
+    const auto touch = [&](std::size_t r) { touched[r >> 6] |= std::uint64_t{1} << (r & 63); };
     if (j < s_->n) {
       for (std::size_t k = s_->col_ptr[j]; k < s_->col_ptr[j + 1]; ++k) {
         v[s_->col_row[k]] = s_->col_val[k];
+        touch(s_->col_row[k]);
       }
     } else {
       v[(*art_rows_)[j - s_->n]] = 1.0;
+      touch((*art_rows_)[j - s_->n]);
     }
-    eta_->ftran(v);
-    return v;
+    eta_->ftran(v, touched);
+    // Bitset order is row order: the list comes out ascending.
+    rows_.clear();
+    for (std::size_t w = 0; w < touched_.size(); ++w) {
+      for (std::uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
+        rows_.push_back(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+    return {v, rows_};
   }
 
   void pivot(std::size_t, std::size_t) {}
@@ -390,6 +446,8 @@ class SparseMatrix {
   const std::vector<std::size_t>* art_rows_ = nullptr;
   const EtaFile* eta_ = nullptr;
   std::vector<double> scratch_;
+  std::vector<std::uint64_t> touched_;  // one bit per row written this call
+  std::vector<std::uint32_t> rows_;     // rows written by the last call, ascending
 };
 
 /// All simplex decisions, generic over the matrix backend. Phase 1
@@ -447,7 +505,7 @@ class Engine {
       for (std::size_t r = 0; r < m_; ++r) {
         if (!is_art_[basis_[r]]) continue;
         for (std::size_t j = 0; j < s_->n; ++j) {
-          const double* col = mat_.column(j);
+          const Column col = mat_.column(j);
           if (std::abs(col[r]) > kEps) {
             pivot(r, j, col);
             break;
@@ -491,13 +549,14 @@ class Engine {
     init_state();
 
     // Gauss-Jordan into the warm basis: for each basis column pick the
-    // still-unassigned row with the largest pivot magnitude.
+    // still-unassigned row with the largest pivot magnitude (the first
+    // such row on ties; unlisted rows hold zero and cannot win).
     row_done_.assign(m_, 0);
     for (const auto j : warm) {
-      const double* w = mat_.column(j);
+      const Column w = mat_.column(j);
       std::size_t best_r = kNone;
       double best_abs = 1e-7;  // tighter than kEps: a near-singular basis is not worth keeping
-      for (std::size_t r = 0; r < m_; ++r) {
+      for (const std::uint32_t r : w.rows) {
         if (row_done_[r]) continue;
         const double mag = std::abs(w[r]);
         if (mag > best_abs) {
@@ -549,14 +608,14 @@ class Engine {
   /// tableau column of `col` (B^-1 A_col), already materialized by the
   /// caller; the eta recorded from it is what both backends' future
   /// FTRAN/BTRAN passes replay.
-  void pivot(std::size_t row, std::size_t col, const double* w, bool count = true) {
+  void pivot(std::size_t row, std::size_t col, const Column& w, bool count = true) {
     const double p = w[row];
     assert(std::abs(p) > kEps);
-    eta_.record(row, w, m_);
+    eta_.record(row, w);
     // The rhs sees the same update the tableau rows do.
     x_b_[row] /= p;
     const double xb_row = x_b_[row];
-    for (std::size_t r = 0; r < m_; ++r) {
+    for (const std::uint32_t r : w.rows) {
       if (r == row) continue;
       const double factor = w[r];
       if (std::abs(factor) < kEps) continue;
@@ -585,10 +644,10 @@ class Engine {
     in_basis_.assign(n_total_, 0);
     row_done_.assign(m_, 0);
     for (const auto col : refactor_basis_) {
-      const double* w = mat_.column(col);
+      const Column w = mat_.column(col);
       std::size_t best_r = kNone;
       double best_abs = kEps;
-      for (std::size_t r = 0; r < m_; ++r) {
+      for (const std::uint32_t r : w.rows) {
         if (row_done_[r]) continue;
         const double mag = std::abs(w[r]);
         if (mag > best_abs) {
@@ -650,11 +709,12 @@ class Engine {
       }
       if (entering == kNone) return SolveStatus::kOptimal;
 
-      // Ratio test (Bland: smallest basis index breaks ties).
-      const double* col = mat_.column(entering);
+      // Ratio test (Bland: smallest basis index breaks ties). Rows are
+      // visited in ascending order, so ties resolve as in a 0..m scan.
+      const Column col = mat_.column(entering);
       std::size_t leaving = kNone;
       double best_ratio = kInf;
-      for (std::size_t r = 0; r < m_; ++r) {
+      for (const std::uint32_t r : col.rows) {
         if (col[r] > kEps) {
           const double ratio = x_b_[r] / col[r];
           if (ratio < best_ratio - kEps ||

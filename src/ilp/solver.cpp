@@ -39,15 +39,11 @@ struct NodeOrder {
 /// parallel; their results are applied strictly in pop order, which is
 /// what makes the search deterministic. Fixed (never derived from the
 /// jobs level) so the explored node sequence is identical at every
-/// concurrency setting.
+/// concurrency setting. The wave's loop runs at the pool's default
+/// grain: warm node LPs on the mapping MILPs take from tens to a few
+/// hundred microseconds, long enough that a task per node or two costs
+/// little next to the load balance it buys.
 constexpr std::size_t kWaveWidth = 16;
-
-/// Sibling nodes batched per pool task when a wave's relaxations run
-/// concurrently. Node LPs are short (tens of microseconds warm), so one
-/// task per node spends a visible fraction of the wave on queueing
-/// overhead; batching amortizes it. Purely a scheduling choice: results
-/// are applied in pop order regardless.
-constexpr std::size_t kWaveGrain = 4;
 
 struct WaveResult {
   Solution relax;
@@ -168,8 +164,7 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
           lp_options.algorithm = options.algorithm;
           results[i].relax = solve_lp(model, lp_options);
           results[i].solved = true;
-        },
-        kWaveGrain);
+        });
     // The wave barrier just completed: every relaxation is done and the
     // caller waited for the slowest one. Per-wave wall time is the
     // barrier-wait figure `clara profile` and the wave histogram report.

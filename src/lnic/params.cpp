@@ -84,6 +84,16 @@ std::string ParameterStore::serialize() const {
   return os.str();
 }
 
+void ParameterStore::hash_into(Fnv1a& h) const {
+  h.mix(static_cast<std::uint64_t>(scalars_.size()));
+  for (const auto& [k, v] : scalars_) h.mix(std::string_view(k)).mix(v);
+  h.mix(static_cast<std::uint64_t>(curves_.size()));
+  for (const auto& [k, curve] : curves_) {
+    h.mix(std::string_view(k)).mix(static_cast<std::uint64_t>(curve.points().size()));
+    for (const auto& [x, y] : curve.points()) h.mix(x).mix(y);
+  }
+}
+
 Result<ParameterStore> ParameterStore::parse(const std::string& text) {
   ParameterStore store;
   std::size_t line_no = 0;

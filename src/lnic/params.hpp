@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/result.hpp"
 
 namespace clara::lnic {
@@ -66,6 +67,12 @@ class ParameterStore {
   /// lists). Round-trips exactly enough for persistence of fitted
   /// parameters.
   [[nodiscard]] std::string serialize() const;
+
+  /// Mixes every scalar and curve into `h` by value: keys, doubles by
+  /// bit pattern, and the counts that delimit them. Equal stores mix
+  /// equally; this is the cache-key form, and it allocates nothing.
+  void hash_into(Fnv1a& h) const;
+
   static Result<ParameterStore> parse(const std::string& text);
 
  private:

@@ -326,11 +326,25 @@ NicProfile pipeline_asic_nic() {
   return profile;
 }
 
+std::span<const ProfileEntry> profile_table() {
+  static constexpr ProfileEntry kProfiles[] = {
+      {"netronome-agilio-cx", netronome_agilio_cx},
+      {"soc-arm", soc_arm_nic},
+      {"pipeline-asic", pipeline_asic_nic},
+  };
+  return kProfiles;
+}
+
+std::optional<NicProfile> find_profile(std::string_view name) {
+  for (const auto& entry : profile_table()) {
+    if (name == entry.name) return entry.build();
+  }
+  return std::nullopt;
+}
+
 std::vector<NicProfile> all_profiles() {
   std::vector<NicProfile> out;
-  out.push_back(netronome_agilio_cx());
-  out.push_back(soc_arm_nic());
-  out.push_back(pipeline_asic_nic());
+  for (const auto& entry : profile_table()) out.push_back(entry.build());
   return out;
 }
 

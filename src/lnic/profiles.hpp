@@ -16,7 +16,11 @@
 //    general-purpose microengines, so compute-heavy NFs map poorly.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "lnic/lnic.hpp"
 #include "lnic/params.hpp"
@@ -45,6 +49,20 @@ NicProfile soc_arm_nic();
 
 /// Pipeline-ASIC style NIC (see header comment).
 NicProfile pipeline_asic_nic();
+
+/// One built-in profile: its name and the function that builds it.
+struct ProfileEntry {
+  const char* name;
+  NicProfile (*build)();
+};
+
+/// The built-in profiles in listing order: the one name→builder table
+/// find_profile() and all_profiles() read.
+std::span<const ProfileEntry> profile_table();
+
+/// Builds the built-in profile called `name` (and no other); nullopt
+/// when there is none.
+std::optional<NicProfile> find_profile(std::string_view name);
 
 /// All built-in profiles, for iteration in tools/benches.
 std::vector<NicProfile> all_profiles();

@@ -421,6 +421,14 @@ Result<Mapper::Placement> Mapper::build_placement(const DataflowGraph& graph, co
   return placement;
 }
 
+Result<ilp::Model> Mapper::placement_model(const DataflowGraph& graph, const CostHints& hints,
+                                           const MapOptions& options) const {
+  auto placement = build_placement(graph, hints, options, std::vector<int>(graph.nodes().size(), -1),
+                                   std::vector<int>(graph.function()->state_objects.size(), -1));
+  if (!placement) return placement.error();
+  return std::move(placement.value().model);
+}
+
 Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, const MapOptions& options) const {
   CLARA_TRACE_SCOPE("mapping/map");
   auto placement = build_placement(graph, hints, options, std::vector<int>(graph.nodes().size(), -1),

@@ -147,6 +147,11 @@ class Mapper {
   Result<Mapping> repair(const passes::DataflowGraph& graph, const passes::CostHints& hints,
                          const Mapping& previous, const MapOptions& options = {}) const;
 
+  /// The cold placement MILP map() solves (nothing pinned), for tests
+  /// that drive ilp::solve_milp on real mapping models directly.
+  Result<ilp::Model> placement_model(const passes::DataflowGraph& graph, const passes::CostHints& hints,
+                                     const MapOptions& options = {}) const;
+
   [[nodiscard]] const std::vector<UnitPool>& pools() const { return pools_; }
   [[nodiscard]] const lnic::NicProfile& profile() const { return *profile_; }
 

@@ -51,9 +51,7 @@ Result<cir::Function> resolve_nf(const Request& request) {
 }
 
 Result<lnic::NicProfile> resolve_nic(const Request& request) {
-  for (auto& profile : lnic::all_profiles()) {
-    if (profile.name == request.nic) return std::move(profile);
-  }
+  if (auto profile = lnic::find_profile(request.nic)) return std::move(*profile);
   return make_error(ErrorCode::kParse, strf("unknown NIC profile \"%s\"", request.nic.c_str()));
 }
 

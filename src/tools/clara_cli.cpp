@@ -237,9 +237,7 @@ std::optional<cir::Function> load_nf(const Args& args) {
 
 std::optional<lnic::NicProfile> load_nic(const Args& args) {
   const std::string name = args.get("nic", "netronome-agilio-cx");
-  for (auto& profile : lnic::all_profiles()) {
-    if (profile.name == name) return std::move(profile);
-  }
+  if (auto profile = lnic::find_profile(name)) return profile;
   std::fprintf(stderr, "unknown NIC '%s' (try: clara list-nics)\n", name.c_str());
   return std::nullopt;
 }

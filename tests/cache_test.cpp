@@ -5,6 +5,7 @@
 // option input.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "cir/builder.hpp"
@@ -222,6 +223,32 @@ TEST(AnalysisCacheTest, ProfileParameterChangesDigest) {
   hints_b = hints_a;
   hints_b.flow_cache_hit_rate *= 0.5;
   EXPECT_NE(hash_hints(hints_a), hash_hints(hints_b));
+}
+
+TEST(AnalysisCacheTest, ProfileDigestIsByParameterValue) {
+  const auto base = lnic::netronome_agilio_cx();
+  const lnic::NicProfile copy = base;
+  EXPECT_EQ(hash_profile(base), hash_profile(copy));
+
+  // One ulp on one scalar.
+  auto scalar = base;
+  const double residency = base.params.scalar(lnic::keys::kCtmPacketResidency);
+  scalar.params.set_scalar(lnic::keys::kCtmPacketResidency, std::nextafter(residency, 2.0 * residency));
+  EXPECT_NE(hash_profile(base), hash_profile(scalar));
+
+  // One curve point moved, the others and the point count unchanged.
+  auto curve = base;
+  auto points = base.params.try_curve(lnic::keys::kCsumAccel)->points();
+  ASSERT_GE(points.size(), 2u);
+  points[1].second += 1.0;
+  curve.params.set_curve(lnic::keys::kCsumAccel, lnic::PiecewiseLinear(points));
+  EXPECT_NE(hash_profile(base), hash_profile(curve));
+
+  // A point's x moved.
+  points = base.params.try_curve(lnic::keys::kCsumAccel)->points();
+  points[1].first += 1.0;
+  curve.params.set_curve(lnic::keys::kCsumAccel, lnic::PiecewiseLinear(points));
+  EXPECT_NE(hash_profile(base), hash_profile(curve));
 }
 
 TEST(AnalysisCacheTest, ProfileChangeMissesMappingButReusesLowering) {

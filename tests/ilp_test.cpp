@@ -107,6 +107,30 @@ TEST(Simplex, DegenerateRedundantConstraints) {
   EXPECT_NEAR(sol.value(x), 5.0, 1e-6);
 }
 
+TEST(Simplex, NearTieRatioChainResolvesInRowOrder) {
+  // Three ratios within kEps of each other, smallest in the last row.
+  // The ratio test keeps a candidate within kEps of the running best
+  // when its basis index is lower, so the winner depends on the order
+  // the rows are visited: a 0..m scan ends on row 2 (x = 1), a reverse
+  // scan would walk the chain up to row 0 (x = 1 + 1.4e-9). Both
+  // engines must take row 2, whichever rows their columns list.
+  Model m;
+  const int x = m.add_continuous("x");
+  m.add_constraint(LinExpr().add(x, 1), Sense::kLe, 1.0 + 1.4e-9);
+  m.add_constraint(LinExpr().add(x, 1), Sense::kLe, 1.0 + 0.7e-9);
+  m.add_constraint(LinExpr().add(x, 1), Sense::kLe, 1.0);
+  m.set_objective(LinExpr().add(x, -1));
+  for (const auto algorithm : {LpAlgorithm::kRevised, LpAlgorithm::kDense}) {
+    LpOptions options;
+    options.algorithm = algorithm;
+    const auto sol = solve_lp(m, options);
+    ASSERT_TRUE(sol.optimal());
+    EXPECT_EQ(sol.value(x), 1.0);
+    // Columns: x, then the slacks of rows 0..2; x replaced row 2's slack.
+    EXPECT_EQ(sol.basis, (std::vector<std::size_t>{1, 2, 0}));
+  }
+}
+
 TEST(LinExprTest, DenseMergesDuplicates) {
   LinExpr e;
   e.add(0, 1.0).add(0, 2.0).add(1, -1.0);

@@ -190,6 +190,22 @@ TEST_P(ProfileTest, HasComputeAndMemory) {
 
 INSTANTIATE_TEST_SUITE_P(AllProfiles, ProfileTest, ::testing::Values(0, 1, 2));
 
+TEST(Profiles, FindProfileBuildsTheNamedTableEntry) {
+  const auto profiles = all_profiles();
+  ASSERT_EQ(profiles.size(), profile_table().size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const ProfileEntry& entry = profile_table()[i];
+    EXPECT_EQ(profiles[i].name, entry.name);
+    const auto found = find_profile(entry.name);
+    ASSERT_TRUE(found.has_value()) << entry.name;
+    EXPECT_EQ(found->name, entry.name);
+    EXPECT_EQ(found->params.serialize(), profiles[i].params.serialize()) << entry.name;
+    EXPECT_EQ(found->graph.nodes().size(), profiles[i].graph.nodes().size()) << entry.name;
+  }
+  EXPECT_FALSE(find_profile("pipeline").has_value());
+  EXPECT_FALSE(find_profile("").has_value());
+}
+
 TEST(Profiles, NetronomePaperNumbers) {
   const auto profile = netronome_agilio_cx();
   const auto& p = profile.params;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "core/predict.hpp"
 #include "frontend/p4lite.hpp"
 #include "ilp/instances.hpp"
 #include "ilp/simplex.hpp"
@@ -27,6 +28,7 @@
 #include "obs/accuracy.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/dataflow.hpp"
+#include "passes/optimize.hpp"
 #include "passes/patterns.hpp"
 #include "workload/tracegen.hpp"
 
@@ -368,6 +370,245 @@ TEST(SimPin, RunStatsDigestsArePinned) {
     EXPECT_EQ(run_stats_digest(stats), p.digest)
         << p.scenario.name() << ": got 0x" << std::hex << run_stats_digest(stats);
   }
+}
+
+// --- randomized sparse MILPs with pipeline-order rows ------------------------
+
+/// splitmix64: a fixed, portable stream, so every platform builds the
+/// same instances.
+struct SplitMix {
+  std::uint64_t state;
+  std::size_t below(std::size_t n) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>((z ^ (z >> 31)) % n);
+  }
+};
+
+/// A small placement-shaped MILP: `nodes` items, each assigned to one
+/// of `pools` pools (binary x[i][p], one assignment row per item), pool
+/// capacity rows, and Π-style order rows stage(from) - stage(to) <= 0
+/// along random edges. Branching a `from` variable up shifts its stage
+/// to the right-hand side, which turns negative, so build_standard
+/// negates the row and its slack becomes a surplus — the sign-flip path
+/// a warm child must repair.
+ilp::Model random_placement_milp(std::uint64_t seed) {
+  SplitMix rng{seed};
+  const std::size_t nodes = 4 + rng.below(5);
+  const std::size_t pools = 3 + rng.below(3);
+  std::vector<double> stage(pools);
+  for (auto& st : stage) st = static_cast<double>(rng.below(4));
+  ilp::Model model;
+  std::vector<std::vector<int>> x(nodes);
+  ilp::LinExpr objective;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    ilp::LinExpr assign;
+    for (std::size_t p = 0; p < pools; ++p) {
+      const int var = model.add_binary("x" + std::to_string(i) + "_" + std::to_string(p));
+      x[i].push_back(var);
+      assign.add(var, 1.0);
+      objective.add(var, 1.0 + static_cast<double>(rng.below(40)) + 0.25 * static_cast<double>(rng.below(4)));
+    }
+    model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0);
+  }
+  for (std::size_t p = 0; p < pools; ++p) {
+    ilp::LinExpr load;
+    for (std::size_t i = 0; i < nodes; ++i) load.add(x[i][p], 1.0 + static_cast<double>(rng.below(9)));
+    model.add_constraint(std::move(load), ilp::Sense::kLe, 6.0 + static_cast<double>(rng.below(10)));
+  }
+  const std::size_t edges = nodes + rng.below(nodes);
+  for (std::size_t e = 0; e < edges; ++e) {
+    const std::size_t from = rng.below(nodes);
+    const std::size_t to = rng.below(nodes);
+    if (from == to) continue;
+    ilp::LinExpr diff;
+    for (std::size_t p = 0; p < pools; ++p) {
+      if (stage[p] == 0.0) continue;
+      diff.add(x[from][p], stage[p]);
+      diff.add(x[to][p], -stage[p]);
+    }
+    model.add_constraint(std::move(diff), ilp::Sense::kLe, 0.0);
+  }
+  model.set_objective(std::move(objective));
+  return model;
+}
+
+TEST(SimplexEquiv, RandomPlacementMilpsBitIdenticalAcrossEngines) {
+  std::size_t solved = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto model = random_placement_milp(seed);
+    ilp::SolveOptions options;
+    options.jobs = 1;
+    options.algorithm = ilp::LpAlgorithm::kRevised;
+    const auto revised = ilp::solve_milp(model, options);
+    options.algorithm = ilp::LpAlgorithm::kDense;
+    const auto dense = ilp::solve_milp(model, options);
+    const std::string label = "seed " + std::to_string(seed);
+    expect_identical_solutions(revised, dense, label);
+    ASSERT_EQ(revised.incumbents.size(), dense.incumbents.size()) << label;
+    for (std::size_t k = 0; k < revised.incumbents.size(); ++k) {
+      EXPECT_EQ(revised.incumbents[k].node, dense.incumbents[k].node) << label;
+      EXPECT_EQ(revised.incumbents[k].objective, dense.incumbents[k].objective) << label;
+    }
+    if (revised.optimal() && revised.nodes_explored > 1) ++solved;
+  }
+  // The instances must actually branch, or the warm path goes untested.
+  EXPECT_GE(solved, 10u);
+}
+
+// --- solver output pinned across versions ------------------------------------
+
+/// FNV-1a over every field of a Solution: status, objective and value
+/// bits, pivots, nodes, the incumbent trajectory, basis and the
+/// degraded flag.
+std::uint64_t solution_digest(const ilp::Solution& s) {
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(s.status)).mix(s.objective);
+  h.mix(static_cast<std::uint64_t>(s.values.size()));
+  for (const double v : s.values) h.mix(v);
+  h.mix(static_cast<std::uint64_t>(s.nodes_explored)).mix(static_cast<std::uint64_t>(s.pivots));
+  h.mix(static_cast<std::uint64_t>(s.incumbents.size()));
+  for (const auto& step : s.incumbents) h.mix(static_cast<std::uint64_t>(step.node)).mix(step.objective);
+  h.mix(static_cast<std::uint64_t>(s.basis.size()));
+  for (const auto b : s.basis) h.mix(static_cast<std::uint64_t>(b));
+  h.mix(s.degraded);
+  return h.digest();
+}
+
+/// The cold placement MILP of `entry` on `profile`, lowered and hinted
+/// the way Analyzer::analyze does it.
+Result<ilp::Model> catalog_placement_model(const nf::CatalogEntry& entry, const lnic::NicProfile& profile,
+                                           const workload::Trace& trace) {
+  cir::Function fn = entry.build();
+  passes::substitute_framework_apis(fn);
+  passes::collapse_packet_loops(fn);
+  passes::optimize(fn);
+  const passes::CostHints hints = core::hints_from_trace(trace, profile);
+  const auto graph = passes::DataflowGraph::build(fn, hints);
+  mapping::MapOptions options;
+  options.pps = trace.profile.pps;
+  return mapping::Mapper(profile).placement_model(graph, hints, options);
+}
+
+TEST(SolvePin, CatalogPlacementMilpDigestsArePinned) {
+  // SimplexEquiv compares the two engines inside one build, so it cannot
+  // see a change to code both share (the decision engine, the eta file,
+  // branch-and-bound). These digests were taken before the hypersparse
+  // column work went in: every catalog NF's placement MILP on every
+  // built-in NIC, at 60 kpps (capacity rows slack, the longest searches)
+  // and 2 Mpps (capacity rows bind), must solve to the same bits at
+  // every jobs level.
+  struct Pinned {
+    const char* nf;
+    const char* nic;
+    const char* pps;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {"lpm", "netronome-agilio-cx", "60000", 0x85948e7d066a57e8ULL},
+      {"lpm", "soc-arm", "60000", 0x751a5dc7cf906af0ULL},
+      {"lpm", "pipeline-asic", "60000", 0xfb14f2ac8a6d1ffbULL},
+      {"lpm-nocache", "netronome-agilio-cx", "60000", 0x101ba8b92932f8d9ULL},
+      {"lpm-nocache", "soc-arm", "60000", 0x751a5dc7cf906af0ULL},
+      {"lpm-nocache", "pipeline-asic", "60000", 0x777d6d720eb1b51fULL},
+      {"nat", "netronome-agilio-cx", "60000", 0x2583af2ffc947a6aULL},
+      {"nat", "soc-arm", "60000", 0xe1dee4c0cc06a1d7ULL},
+      {"nat", "pipeline-asic", "60000", 0x418201f8a47f7c30ULL},
+      {"firewall", "netronome-agilio-cx", "60000", 0xb10c5d0f28afd6edULL},
+      {"firewall", "soc-arm", "60000", 0x61de80ad43c7dcdcULL},
+      {"firewall", "pipeline-asic", "60000", 0x75dd3f1184a68b99ULL},
+      {"dpi", "netronome-agilio-cx", "60000", 0x996ad01d4d1a7cb0ULL},
+      {"dpi", "soc-arm", "60000", 0x2b7d5f51c51bea97ULL},
+      {"dpi", "pipeline-asic", "60000", 0x6fd594242839f035ULL},
+      {"heavy-hitter", "netronome-agilio-cx", "60000", 0x4dd3b501ca1fed2aULL},
+      {"heavy-hitter", "soc-arm", "60000", 0xf31427e0b92ac7b9ULL},
+      {"heavy-hitter", "pipeline-asic", "60000", 0x6b25b2722a68dee3ULL},
+      {"meter", "netronome-agilio-cx", "60000", 0xa52306225a0979feULL},
+      {"meter", "soc-arm", "60000", 0xf4f600a0fa9bca32ULL},
+      {"meter", "pipeline-asic", "60000", 0x8e8212c7755c08a7ULL},
+      {"flow-stats", "netronome-agilio-cx", "60000", 0x11873fe3cb988659ULL},
+      {"flow-stats", "soc-arm", "60000", 0xba75e5ef9f68d4b0ULL},
+      {"flow-stats", "pipeline-asic", "60000", 0xa3f5ec7aa40ebf01ULL},
+      {"rewrite", "netronome-agilio-cx", "60000", 0x9eff7c461fb6e639ULL},
+      {"rewrite", "soc-arm", "60000", 0x928a599915af9d46ULL},
+      {"rewrite", "pipeline-asic", "60000", 0x7fce4e77be9cbd16ULL},
+      {"vnf-chain", "netronome-agilio-cx", "60000", 0xe5ffb938f82336fbULL},
+      {"vnf-chain", "soc-arm", "60000", 0x6e0b398e3f0a2037ULL},
+      {"vnf-chain", "pipeline-asic", "60000", 0x62a9573c88f9d514ULL},
+      {"crypto-gw", "netronome-agilio-cx", "60000", 0xeeb6a47650c9ebc2ULL},
+      {"crypto-gw", "soc-arm", "60000", 0xec6562afe8523851ULL},
+      {"crypto-gw", "pipeline-asic", "60000", 0x1b26245a073b1e16ULL},
+      {"csum-loop", "netronome-agilio-cx", "60000", 0xbce692ce3c293540ULL},
+      {"csum-loop", "soc-arm", "60000", 0x4d71631f140cbff8ULL},
+      {"csum-loop", "pipeline-asic", "60000", 0x7596b5d65a2471b8ULL},
+      {"rate-estimator", "netronome-agilio-cx", "60000", 0xcf353e59775ca9f6ULL},
+      {"rate-estimator", "soc-arm", "60000", 0xab8c3587db662430ULL},
+      {"rate-estimator", "pipeline-asic", "60000", 0xcd0359982fe9c24cULL},
+      {"lpm", "netronome-agilio-cx", "2000000", 0x382df613a38efa68ULL},
+      {"lpm", "soc-arm", "2000000", 0x751a5dc7cf906af0ULL},
+      {"lpm", "pipeline-asic", "2000000", 0x481369e12326ae83ULL},
+      {"lpm-nocache", "netronome-agilio-cx", "2000000", 0x58223fcd63007f1bULL},
+      {"lpm-nocache", "soc-arm", "2000000", 0x751a5dc7cf906af0ULL},
+      {"lpm-nocache", "pipeline-asic", "2000000", 0x777d6d720eb1b51fULL},
+      {"nat", "netronome-agilio-cx", "2000000", 0x2583af2ffc947a6aULL},
+      {"nat", "soc-arm", "2000000", 0xe1dee4c0cc06a1d7ULL},
+      {"nat", "pipeline-asic", "2000000", 0xd9d5147de1f9846fULL},
+      {"firewall", "netronome-agilio-cx", "2000000", 0xb10c5d0f28afd6edULL},
+      {"firewall", "soc-arm", "2000000", 0x61de80ad43c7dcdcULL},
+      {"firewall", "pipeline-asic", "2000000", 0x5004f6c482c6d3a4ULL},
+      {"dpi", "netronome-agilio-cx", "2000000", 0x996ad01d4d1a7cb0ULL},
+      {"dpi", "soc-arm", "2000000", 0x2b7d5f51c51bea97ULL},
+      {"dpi", "pipeline-asic", "2000000", 0x6fd594242839f035ULL},
+      {"heavy-hitter", "netronome-agilio-cx", "2000000", 0x4dd3b501ca1fed2aULL},
+      {"heavy-hitter", "soc-arm", "2000000", 0xf31427e0b92ac7b9ULL},
+      {"heavy-hitter", "pipeline-asic", "2000000", 0x7d05162a0a514e93ULL},
+      {"meter", "netronome-agilio-cx", "2000000", 0xa52306225a0979feULL},
+      {"meter", "soc-arm", "2000000", 0xf4f600a0fa9bca32ULL},
+      {"meter", "pipeline-asic", "2000000", 0xf042ea851c8e920eULL},
+      {"flow-stats", "netronome-agilio-cx", "2000000", 0x11873fe3cb988659ULL},
+      {"flow-stats", "soc-arm", "2000000", 0xba75e5ef9f68d4b0ULL},
+      {"flow-stats", "pipeline-asic", "2000000", 0x4354059c08124295ULL},
+      {"rewrite", "netronome-agilio-cx", "2000000", 0x9eff7c461fb6e639ULL},
+      {"rewrite", "soc-arm", "2000000", 0x928a599915af9d46ULL},
+      {"rewrite", "pipeline-asic", "2000000", 0x7fce4e77be9cbd16ULL},
+      {"vnf-chain", "netronome-agilio-cx", "2000000", 0xe5ffb938f82336fbULL},
+      {"vnf-chain", "soc-arm", "2000000", 0x6e0b398e3f0a2037ULL},
+      {"vnf-chain", "pipeline-asic", "2000000", 0xcd3b4f49a0c04329ULL},
+      {"crypto-gw", "netronome-agilio-cx", "2000000", 0xeeb6a47650c9ebc2ULL},
+      {"crypto-gw", "soc-arm", "2000000", 0xec6562afe8523851ULL},
+      {"crypto-gw", "pipeline-asic", "2000000", 0xd1ea839a6fb620adULL},
+      {"csum-loop", "netronome-agilio-cx", "2000000", 0xbce692ce3c293540ULL},
+      {"csum-loop", "soc-arm", "2000000", 0x4d71631f140cbff8ULL},
+      {"csum-loop", "pipeline-asic", "2000000", 0x7596b5d65a2471b8ULL},
+      {"rate-estimator", "netronome-agilio-cx", "2000000", 0xcf353e59775ca9f6ULL},
+      {"rate-estimator", "soc-arm", "2000000", 0xab8c3587db662430ULL},
+      {"rate-estimator", "pipeline-asic", "2000000", 0xcd0359982fe9c24cULL},
+  };
+  std::size_t k = 0;
+  for (const char* pps : {"60000", "2000000"}) {
+    const auto trace = workload::generate_trace(
+        workload::parse_profile(std::string("tcp=0.8 flows=2000 payload=300 packets=500 pps=") + pps).value());
+    for (const auto& entry : nf::catalog()) {
+      for (const auto& nic : lnic::profile_table()) {
+        const auto model = catalog_placement_model(entry, nic.build(), trace);
+        const std::string label = std::string(entry.name) + "@" + nic.name + " pps=" + pps;
+        for (const std::size_t jobs : {1, 4}) {
+          std::uint64_t digest = 0;
+          if (model.ok()) {
+            ilp::SolveOptions options;
+            options.jobs = jobs;
+            digest = solution_digest(ilp::solve_milp(model.value(), options));
+          }
+          ASSERT_LT(k, std::size(pinned)) << label;
+          EXPECT_EQ(std::string(pinned[k].nf) + "@" + pinned[k].nic + " pps=" + pinned[k].pps, label);
+          EXPECT_EQ(digest, pinned[k].digest) << label << " jobs=" << jobs << ": got 0x" << std::hex << digest;
+        }
+        ++k;
+      }
+    }
+  }
+  EXPECT_EQ(k, std::size(pinned));
 }
 
 }  // namespace
